@@ -122,9 +122,10 @@ func (c *Core) Issue(in *ir.Instr, now, opReady, resultLat int64) (int64, int64)
 }
 
 // IssueReg is Issue with the destination register pre-resolved (ir.NoReg
-// for instructions without one). The simulator's pre-decoded fast path
-// uses it to skip re-deriving the destination on every dynamic
-// instruction; timing is identical to Issue.
+// for instructions without one). The trace replayers, which work from
+// pre-decoded instruction metadata, use it to skip re-deriving the
+// destination on every dynamic instruction; timing is identical to
+// Issue.
 func (c *Core) IssueReg(dst ir.Reg, now, opReady, resultLat int64) (int64, int64) {
 	c.Instrs++
 	t := max(now, opReady)

@@ -5,12 +5,13 @@
 //  1. functional: HCC-parallelized simulated execution returns the same
 //     value as the sequential reference interpreter, at every compiler
 //     level and core count (wait/signal placement soundness);
-//  2. fast == slow: the pre-decoded fast stepper and the retained
-//     reference stepper (Config.SlowStep) produce bit-identical
-//     sim.Result structs;
-//  3. replay == execute: a recorded trace replayed under any
-//     configuration matches a fresh execution-driven run under that
-//     configuration, including budget-exhaustion partial results;
+//  2. reference == Run: the default simulation path (functional
+//     recording, then replay) and the retained reference stepper
+//     (Config.SlowStep) produce bit-identical sim.Result structs;
+//  3. reference == Replay: one recorded trace replayed under every
+//     configuration of a cross-architecture sweep matches a fresh
+//     reference-stepper run under that configuration, including
+//     budget-exhaustion partial results;
 //  4. alias soundness: every alias tier's dependence graph is a superset
 //     of the dynamically observed loop-carried dependences (the paper's
 //     Figure 2 ground truth is measured against these graphs).
@@ -94,7 +95,7 @@ func (o *Options) fill() {
 // reproduce it: the stage that diverged, a human-readable detail, and
 // the program text + arguments.
 type Failure struct {
-	Stage   string // "build", "interp", "compile", "functional", "fast-slow", "replay", "budget", "alias"
+	Stage   string // "build", "interp", "compile", "functional", "reference", "replay", "budget", "alias"
 	Detail  string
 	Program string
 	Args    []int64
@@ -209,8 +210,9 @@ func checkAlias(build Builder, opt Options, fail func(string, string, ...any) *F
 }
 
 // checkConfig compiles a fresh copy at (level, cores) and drives the
-// functional, fast/slow and record/replay oracles, including the
-// cross-architecture sweep and budget probes.
+// functional, reference == Run and reference == Replay oracles over the
+// cross-architecture sweep and the budget probes. The reference stepper
+// runs on a compile of its own, so the two sides share no state.
 func checkConfig(ctx context.Context, build Builder, opt Options, level hcc.Level, cores int,
 	want int64, fail func(string, string, ...any) *Failure) *Failure {
 
@@ -242,132 +244,94 @@ func checkConfig(ctx context.Context, build Builder, opt Options, level hcc.Leve
 	if comp == nil {
 		return nil
 	}
+	ps, comps, fs, ff := compile()
+	if ff != nil {
+		return ff
+	}
+	if comps == nil {
+		return nil
+	}
 	_, _, args, _ := build()
+	reference := func(cfg sim.Config) (*sim.Result, error) {
+		cfg.SlowStep = true
+		return sim.Run(ctx, ps, comps, fs, cfg, args...)
+	}
 	helix := sim.HelixRC(cores)
 	helix.MaxSteps = opt.Budget
 
 	tag := fmt.Sprintf("L%d/%dc", level, cores)
-	fast, err := sim.Run(ctx, p, comp, f, helix, args...)
+	run, err := sim.Run(ctx, p, comp, f, helix, args...)
 	if err != nil {
 		return fail("functional", "%s: parallel run failed: %v", tag, err)
 	}
-	if fast.RetValue != want {
+	if run.RetValue != want {
 		return fail("functional", "%s: parallel RetValue %d != sequential %d (%d loops)",
-			tag, fast.RetValue, want, len(comp.Loops))
+			tag, run.RetValue, want, len(comp.Loops))
 	}
 
-	// Oracle 2: reference stepper, fresh program copy.
-	if f := runBothWays(ctx, compile, helix, fast, tag, args, fail); f != nil {
-		return f
+	// Oracle 2: reference == Run.
+	ref, err := reference(helix)
+	if err != nil {
+		return fail("reference", "%s: reference stepper failed: %v", tag, err)
+	}
+	if *run != *ref {
+		return fail("reference", "%s: Run and the reference stepper diverge:\n%s", tag, diffResult(run, ref))
 	}
 
-	// Oracle 3: record once, replay under the recording config.
-	pr, comp2, fr, ff := compile()
-	if ff != nil {
-		return ff
-	}
-	rec, tr, err := sim.Record(ctx, pr, comp2, fr, helix, args...)
+	// Oracle 3: record once, replay under the recording config and the
+	// cross-architecture sweep.
+	_, tr, err := sim.Record(ctx, p, comp, f, helix, args...)
 	if err != nil {
 		return fail("replay", "%s: record failed: %v", tag, err)
 	}
-	if *rec != *fast {
-		return fail("replay", "%s: recording run diverges from plain run:\n%s", tag, diffResult(rec, fast))
-	}
 	if rp, err := sim.Replay(ctx, tr, helix); err != nil {
 		return fail("replay", "%s: replay failed: %v", tag, err)
-	} else if *rp != *fast {
-		return fail("replay", "%s: replay diverges from execution:\n%s", tag, diffResult(rp, fast))
+	} else if *rp != *ref {
+		return fail("replay", "%s: replay diverges from the reference stepper:\n%s", tag, diffResult(rp, ref))
 	}
-
-	// Cross-architecture sweep: the same trace retimed under other
-	// configs must match fresh execution-driven runs (fast and slow).
 	if !opt.SkipCross {
 		for _, cross := range crossConfigs(cores, opt.Budget) {
 			if ctx.Err() != nil {
 				return nil
 			}
-			px, compx, fx, ff := compile()
-			if ff != nil {
-				return ff
+			refX, err := reference(cross.cfg)
+			if err != nil {
+				return fail("functional", "%s/%s: reference run failed: %v", tag, cross.name, err)
 			}
-			fastX, errX := sim.Run(ctx, px, compx, fx, cross.cfg, args...)
-			if errX != nil {
-				return fail("functional", "%s/%s: run failed: %v", tag, cross.name, errX)
-			}
-			if fastX.RetValue != want {
-				return fail("functional", "%s/%s: RetValue %d != %d", tag, cross.name, fastX.RetValue, want)
-			}
-			if f := runBothWays(ctx, compile, cross.cfg, fastX, tag+"/"+cross.name, args, fail); f != nil {
-				return f
+			if refX.RetValue != want {
+				return fail("functional", "%s/%s: RetValue %d != %d", tag, cross.name, refX.RetValue, want)
 			}
 			rpX, err := sim.Replay(ctx, tr, cross.cfg)
 			if err != nil {
 				return fail("replay", "%s/%s: replay failed: %v", tag, cross.name, err)
 			}
-			if *rpX != *fastX {
-				return fail("replay", "%s/%s: replay diverges from execution:\n%s",
-					tag, cross.name, diffResult(rpX, fastX))
+			if *rpX != *refX {
+				return fail("replay", "%s/%s: replay diverges from the reference stepper:\n%s",
+					tag, cross.name, diffResult(rpX, refX))
 			}
 		}
 	}
 
-	// Budget probes: all three paths must fail at the same instruction
-	// with identical partial results.
-	if !opt.SkipBudget && fast.Instrs > 16 {
+	// Budget probes: replay must fail at the reference stepper's
+	// instruction with its partial result.
+	if !opt.SkipBudget && run.Instrs > 16 {
 		for _, frac := range []int64{3, 2} {
 			if ctx.Err() != nil {
 				return nil
 			}
 			limited := helix
-			limited.MaxSteps = fast.Instrs / frac
-			pb, compb, fb, ff := compile()
-			if ff != nil {
-				return ff
-			}
-			partialFast, errFast := sim.Run(ctx, pb, compb, fb, limited, args...)
-			ps, comps, fs, ff := compile()
-			if ff != nil {
-				return ff
-			}
-			slowLimited := limited
-			slowLimited.SlowStep = true
-			partialSlow, errSlow := sim.Run(ctx, ps, comps, fs, slowLimited, args...)
+			limited.MaxSteps = run.Instrs / frac
+			partialRef, errRef := reference(limited)
 			partialReplay, errReplay := sim.Replay(ctx, tr, limited)
-			if !errors.Is(errFast, sim.ErrBudget) || !errors.Is(errSlow, sim.ErrBudget) || !errors.Is(errReplay, sim.ErrBudget) {
-				return fail("budget", "%s: MaxSteps=%d want ErrBudget from all paths, got fast=%v slow=%v replay=%v",
-					tag, limited.MaxSteps, errFast, errSlow, errReplay)
+			if !errors.Is(errRef, sim.ErrBudget) || !errors.Is(errReplay, sim.ErrBudget) {
+				return fail("budget", "%s: MaxSteps=%d want ErrBudget from both paths, got reference=%v replay=%v",
+					tag, limited.MaxSteps, errRef, errReplay)
 			}
-			if *partialFast != *partialSlow {
-				return fail("budget", "%s: MaxSteps=%d fast/slow partial results diverge:\n%s",
-					tag, limited.MaxSteps, diffResult(partialFast, partialSlow))
-			}
-			if *partialReplay != *partialFast {
-				return fail("budget", "%s: MaxSteps=%d replay/fast partial results diverge:\n%s",
-					tag, limited.MaxSteps, diffResult(partialReplay, partialFast))
+			if *partialReplay != *partialRef {
+				return fail("budget", "%s: MaxSteps=%d replay/reference partial results diverge:\n%s",
+					tag, limited.MaxSteps, diffResult(partialReplay, partialRef))
 			}
 		}
-	}
-	return nil
-}
-
-// runBothWays re-runs a configuration through the reference stepper and
-// compares against the fast-path result bit for bit.
-func runBothWays(ctx context.Context, compile func() (*ir.Program, *hcc.Compiled, *ir.Function, *Failure),
-	cfg sim.Config, fast *sim.Result, tag string, args []int64,
-	fail func(string, string, ...any) *Failure) *Failure {
-
-	ps, comps, fs, ff := compile()
-	if ff != nil {
-		return ff
-	}
-	slowCfg := cfg
-	slowCfg.SlowStep = true
-	slow, err := sim.Run(ctx, ps, comps, fs, slowCfg, args...)
-	if err != nil {
-		return fail("fast-slow", "%s: reference stepper failed: %v", tag, err)
-	}
-	if *slow != *fast {
-		return fail("fast-slow", "%s: fast and reference stepper diverge:\n%s", tag, diffResult(fast, slow))
 	}
 	return nil
 }

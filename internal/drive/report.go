@@ -66,7 +66,6 @@ func appendLocalReport(o *Options, p *Plan, claims artifact.Claims, reports []be
 		Parallel:    harness.Parallelism(),
 		Shard:       o.Shard,
 		SlowSim:     o.SlowSim,
-		NoReplay:    o.NoReplay,
 		Cores:       o.Cores,
 		TotalMillis: float64(total.Microseconds()) / 1e3,
 		Experiments: reports,

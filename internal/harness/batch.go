@@ -9,28 +9,23 @@ package harness
 // store. The figure's cells then run unchanged: their simWithTrace
 // calls hit the result tier and never touch the trace.
 //
-// The prefetch pool is sized by GOMAXPROCS independently of the
-// engine's -parallel setting, so trace *recording* — the dominant cost
-// of a cold Figure 11a, which needs a fresh trace per core count —
-// fans out across CPUs even when the cells themselves run
-// sequentially. Figures stay byte-identical at any parallelism: the
-// prefetch only warms caches with Results that are bit-identical to
-// what each cell would have computed solo (sim.ReplayBatch's contract,
-// enforced by the equivalence tests), and the cells still assemble in
-// index order.
+// The prefetch runs on the engine's worker pool, so it honours
+// -parallel like the cells do: at -parallel 1 groups are served one at
+// a time. Figures stay byte-identical at any parallelism: the prefetch
+// only warms caches with Results that are bit-identical to what each
+// cell would have computed solo (sim.ReplayBatch's contract, enforced
+// by the equivalence tests), and the cells still assemble in index
+// order.
 //
 // Prefetching is best-effort: any error is dropped and the affected
 // cells recompute solo, attributing the failure properly. It is
-// skipped entirely when replay is bypassed (SlowSim, NoReplay) or when
-// per-cell deadlines are active — a batched traversal serves many
-// cells, so it must not be accounted against any single cell's clock.
+// skipped entirely when replay is bypassed (SlowSim) or when per-cell
+// deadlines are active — a batched traversal serves many cells, so it
+// must not be accounted against any single cell's clock.
 
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"helixrc/internal/hcc"
 	"helixrc/internal/sim"
@@ -61,42 +56,21 @@ type retimeGroup struct {
 // missing configs in one batched traversal. Best-effort; see the
 // package comment above for the skip conditions.
 func prefetchRetimes(ctx context.Context, groups []retimeGroup) {
-	if len(groups) == 0 || SlowSim() || NoReplay() || CellTimeout() > 0 {
+	if SlowSim() || CellTimeout() > 0 {
 		return
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	w := runtime.GOMAXPROCS(0)
-	if w > len(groups) {
-		w = len(groups)
-	}
-	if w <= 1 {
-		for i := range groups {
-			if ctx.Err() != nil {
-				return
-			}
-			prefetchGroup(ctx, &groups[i])
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for k := 0; k < w; k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(groups) || ctx.Err() != nil {
-					return
-				}
-				prefetchGroup(ctx, &groups[i])
-			}
-		}()
-	}
-	wg.Wait()
+	// parMap's error is dropped: cancellation reaches the cells anyway,
+	// and a panicking group fails only its prefetch (the pool recovers
+	// it), leaving its cells to recompute solo with proper attribution.
+	parMap(ctx, len(groups), func(ctx context.Context, i int) (struct{}, error) {
+		prefetchOne(ctx, &groups[i])
+		return struct{}{}, nil
+	})
 }
+
+// prefetchOne serves one group; a variable so tests can observe how
+// prefetchRetimes schedules groups.
+var prefetchOne = prefetchGroup
 
 // groupKeys derives a group's trace key and per-config result keys
 // from content fingerprints alone — no compilation, no execution — so
@@ -173,7 +147,7 @@ func prefetchGroup(ctx context.Context, g *retimeGroup) {
 
 	var missing []sim.Config
 	for _, arch := range g.archs {
-		if arch.NoReplay || cached(arch) {
+		if cached(arch) {
 			continue
 		}
 		missing = append(missing, arch)

@@ -2,6 +2,8 @@ package harness
 
 import (
 	"context"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -114,5 +116,31 @@ func TestPrefetchSkipsUnderCellTimeout(t *testing.T) {
 	if b1 != b0 || l1 != l0 || f1 != f0 || rec1 != rec0 {
 		t.Errorf("prefetch did work under a cell timeout: batches +%d lanes +%d fallbacks +%d recordings +%d",
 			b1-b0, l1-l0, f1-f0, rec1-rec0)
+	}
+}
+
+// TestPrefetchHonoursParallelism: at -parallel 1 the prefetch serves
+// groups strictly one at a time, however many CPUs the process has.
+func TestPrefetchHonoursParallelism(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	SetParallelism(1)
+	defer SetParallelism(0)
+	var inFlight, peak, served atomic.Int32
+	prefetchOne = func(context.Context, *retimeGroup) {
+		n := inFlight.Add(1)
+		for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+		}
+		time.Sleep(2 * time.Millisecond)
+		served.Add(1)
+		inFlight.Add(-1)
+	}
+	defer func() { prefetchOne = prefetchGroup }()
+
+	prefetchRetimes(context.Background(), make([]retimeGroup, 8))
+	if got := served.Load(); got != 8 {
+		t.Errorf("served %d groups, want 8", got)
+	}
+	if got := peak.Load(); got != 1 {
+		t.Errorf("%d prefetchGroup calls overlapped at -parallel 1", got)
 	}
 }

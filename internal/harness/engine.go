@@ -43,8 +43,9 @@ import (
 var parallelism atomic.Int32
 
 // slowSim routes every harness simulation through the retained
-// reference stepper (sim.Config.SlowStep) — used to measure the
-// fast-path speedup with identical outputs.
+// reference stepper (sim.Config.SlowStep), bypassing record/replay and
+// its caches — used to check the default path against the oracle and to
+// measure its speedup, with identical outputs.
 var slowSim atomic.Bool
 
 // SetParallelism sets the worker count used by the experiment engine.
@@ -67,17 +68,6 @@ func SetSlowSim(v bool) { slowSim.Store(v) }
 
 // SlowSim reports whether the reference stepper is selected.
 func SlowSim() bool { return slowSim.Load() }
-
-// noReplay disables the trace record/replay fast path for all harness
-// simulations, forcing every cell through execution-driven simulation.
-var noReplay atomic.Bool
-
-// SetNoReplay toggles the record/replay bypass (figures are
-// byte-identical either way; only wall-clock changes).
-func SetNoReplay(v bool) { noReplay.Store(v) }
-
-// NoReplay reports whether record/replay is disabled.
-func NoReplay() bool { return noReplay.Load() }
 
 // cellTimeoutNS is the per-cell wall-clock deadline in nanoseconds;
 // <= 0 disables it.

@@ -286,8 +286,8 @@ func traceKey(name string, level hcc.Level, cores, tier int, ref bool, fp string
 	return fmt.Sprintf("trace/%s/L%d/c%d/ref=%v/%s", name, level, cores, ref, fp)
 }
 
-// simWithTrace serves one harness simulation through the record/replay
-// fast path: the first run for a trace key executes and records (and
+// simWithTrace serves one harness simulation through record/replay:
+// the first run for a trace key executes and records (and
 // persists the trace when a disk tier is configured), every later run
 // under any timing config — in this process or a later one — replays
 // the stored trace. Replayed Results are themselves cached in resStore
@@ -297,10 +297,9 @@ func traceKey(name string, level hcc.Level, cores, tier int, ref bool, fp string
 // the result tier and never touch the trace. The trace key must pin
 // everything the dynamic behaviour depends on — compiled program
 // identity (workload content, level, cores) and input — while timing
-// parameters stay out of it. SlowSim, SetNoReplay and arch.NoReplay
-// bypass the caches entirely.
+// parameters stay out of it. SlowSim bypasses the caches entirely.
 func simWithTrace(ctx context.Context, key string, w *workloads.Workload, comp *hcc.Compiled, arch sim.Config, a []int64) (*sim.Result, error) {
-	if SlowSim() || NoReplay() || arch.NoReplay {
+	if SlowSim() {
 		return sim.Run(ctx, w.Prog, comp, w.Entry, applySlow(arch), a...)
 	}
 	return resStore.Get(ctx, resultKey(key, arch), func(rctx context.Context) (*sim.Result, error) {

@@ -6,11 +6,11 @@ import (
 	"testing"
 )
 
-// TestReplayMatchesNoReplayFigures pins the tentpole's acceptance
-// criterion at the harness level: a figure generated through the
-// record/replay path is byte-identical to one generated with replay
-// disabled (full execution-driven simulation per cell).
-func TestReplayMatchesNoReplayFigures(t *testing.T) {
+// TestReplayMatchesSlowSimFigures pins the simulator's equivalence at
+// the harness level: figures generated through the record/replay path
+// are byte-identical to figures generated on the reference stepper
+// (SetSlowSim), which bypasses traces and their caches per cell.
+func TestReplayMatchesSlowSimFigures(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full figure generation")
 	}
@@ -30,14 +30,14 @@ func TestReplayMatchesNoReplayFigures(t *testing.T) {
 		return sb.String()
 	}
 
-	SetNoReplay(true)
+	SetSlowSim(true)
 	want := gen()
-	SetNoReplay(false)
+	SetSlowSim(false)
 	defer ResetCaches()
 	got := gen()
 
 	if got != want {
-		t.Errorf("replayed figures differ from execution-driven figures:\n--- noreplay ---\n%s\n--- replay ---\n%s", want, got)
+		t.Errorf("replayed figures differ from reference-stepper figures:\n--- slowsim ---\n%s\n--- replay ---\n%s", want, got)
 	}
 	rec, reps := ReplayStats()
 	if rec == 0 || reps == 0 {

@@ -138,6 +138,29 @@ func TestMemoryGrowAndSnapshot(t *testing.T) {
 	}
 }
 
+// TestMemoryBacksOnlyItsSpan: a program's memory backs its globals, not
+// the unused range below them, and still reads and writes any address —
+// below the globals, inside them and past the arena — as a flat store.
+func TestMemoryBacksOnlyItsSpan(t *testing.T) {
+	p := ir.NewProgram("span")
+	g := p.AddGlobal("g", 4, ir.TypeAny)
+	g.Init = []int64{1, 2, 3, 4}
+	m := NewMemory(p)
+	if len(m.words) > 64 {
+		t.Errorf("memory backs %d words for 4 words of globals", len(m.words))
+	}
+	m.Store(g.Addr-5000, 9)
+	m.Store(m.ArenaNext()+5000, 8)
+	for i, want := range []int64{1, 2, 3, 4} {
+		if got := m.Load(g.Addr + int64(i)); got != want {
+			t.Errorf("global word %d = %d, want %d", i, got, want)
+		}
+	}
+	if m.Load(g.Addr-5000) != 9 || m.Load(m.ArenaNext()+5000) != 8 || m.Load(1) != 0 {
+		t.Error("stores outside the initial span did not read back")
+	}
+}
+
 func TestMemoryNegativePanics(t *testing.T) {
 	m := &Memory{}
 	defer func() {

@@ -14,7 +14,11 @@ import (
 
 // Memory is a flat, word-addressed store. Addresses are indices of 64-bit
 // words; the zero page is reserved so address 0 is never valid data.
+// Only the span [base, base+len(words)) is backed: programs lay their
+// globals out from a high base address (ir.NewProgram), and backing the
+// unused low range would cost every run megabytes of zeroing.
 type Memory struct {
+	base  int64 // address of words[0]
 	words []int64
 	arena int64
 }
@@ -22,13 +26,14 @@ type Memory struct {
 // NewMemory returns a memory initialized with the program's globals and an
 // allocation arena starting after them.
 func NewMemory(p *ir.Program) *Memory {
-	m := &Memory{arena: p.ArenaBase()}
-	// Pre-size to the static data extent: growing by repeated doubling
-	// from 1KB zeroes and copies ~3x the final footprint, which shows up
-	// as the top allocation cost in simulator profiles.
-	if base := p.ArenaBase(); base > 1 {
-		m.grow(base - 1)
+	m := &Memory{base: p.ArenaBase(), arena: p.ArenaBase()}
+	for _, g := range p.Globals {
+		m.base = min(m.base, g.Addr)
 	}
+	// Pre-size to the static data extent: growing by repeated doubling
+	// zeroes and copies ~3x the final footprint, which shows up as the top
+	// allocation cost in simulator profiles.
+	m.words = make([]int64, p.ArenaBase()-m.base)
 	for _, g := range p.Globals {
 		for i, v := range g.Init {
 			m.Store(g.Addr+int64(i), v)
@@ -37,20 +42,22 @@ func NewMemory(p *ir.Program) *Memory {
 	return m
 }
 
+// grow extends the backed span to cover addr, at least doubling it.
 func (m *Memory) grow(addr int64) {
-	if addr < int64(len(m.words)) {
+	end := m.base + int64(len(m.words))
+	if addr >= m.base && addr < end {
 		return
 	}
-	n := int64(len(m.words))
-	if n == 0 {
-		n = 1024
+	n := max(int64(len(m.words)), 1024)
+	lo, hi := m.base, end
+	if addr < lo {
+		lo = max(0, min(addr, lo-n))
+	} else {
+		hi = max(addr+1, hi+n)
 	}
-	for n <= addr {
-		n *= 2
-	}
-	nw := make([]int64, n)
-	copy(nw, m.words)
-	m.words = nw
+	nw := make([]int64, hi-lo)
+	copy(nw[m.base-lo:], m.words)
+	m.base, m.words = lo, nw
 }
 
 // Load reads the word at addr. Negative addresses panic: they indicate a
@@ -59,10 +66,11 @@ func (m *Memory) Load(addr int64) int64 {
 	if addr < 0 {
 		panic(fmt.Sprintf("interp: load from negative address %d", addr))
 	}
-	if addr >= int64(len(m.words)) {
+	i := addr - m.base
+	if i < 0 || i >= int64(len(m.words)) {
 		return 0
 	}
-	return m.words[addr]
+	return m.words[i]
 }
 
 // Store writes the word at addr.
@@ -71,7 +79,7 @@ func (m *Memory) Store(addr, v int64) {
 		panic(fmt.Sprintf("interp: store to negative address %d", addr))
 	}
 	m.grow(addr)
-	m.words[addr] = v
+	m.words[addr-m.base] = v
 }
 
 // Alloc reserves size words from the arena and returns the base address.

@@ -39,9 +39,9 @@ func driveHier(h *Hierarchy, cores int, seed int64) hierSummary {
 
 // TestHierarchyResetIndistinguishable is the pooling contract: a
 // Hierarchy dirtied by arbitrary traffic and Reset must be
-// observationally identical to a freshly constructed one. The
-// simulator's pooled fast path and the trace replayer both depend on
-// this for bit-identical results.
+// observationally identical to a freshly constructed one. The trace
+// replayers pool hierarchies and depend on this for bit-identical
+// results.
 func TestHierarchyResetIndistinguishable(t *testing.T) {
 	const cores = 4
 	cfg := DefaultConfig()

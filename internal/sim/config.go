@@ -6,11 +6,15 @@
 // Because HELIX only communicates forward in iteration order, the
 // simulator processes iterations in order and resolves all communication
 // and synchronization times in closed form — no global cycle stepping.
-// Functional execution happens in the same pass (iteration order equals
-// sequential order for all shared state), so every run also validates the
-// compiler: a miscompiled loop produces wrong output, and dynamic checks
-// assert the paper's code properties (shared accesses only inside their
-// segment, one signal per segment per iteration).
+// A run has two stages. The functional pass (Record) executes the
+// program once, iterations in order (which equals sequential order for
+// all shared state), and captures a Trace; every run thereby validates
+// the compiler: a miscompiled loop produces wrong output, and dynamic
+// checks assert the paper's code properties (shared accesses only inside
+// their segment, one signal per segment per iteration). The timing stage
+// (Replay, ReplayBatch) then re-times that trace under any number of
+// machine configurations. A reference stepper that does both in one pass
+// (Config.SlowStep) is kept as the oracle.
 package sim
 
 import (
@@ -42,30 +46,18 @@ type Config struct {
 	// MaxSteps bounds total simulated instructions (0 = default 2^32).
 	MaxSteps int64
 
-	// NoReplay asks callers that cache traces (the harness) to bypass
-	// record/replay and run this configuration through the normal
-	// execution-driven path. sim.Run itself never consults it; it exists
-	// so a single figure cell can opt out when debugging, next to
-	// SlowStep which opts out of the fast stepper entirely.
-	NoReplay bool
-
-	// SlowStep selects the retained reference stepper: no pre-decoded
-	// instruction metadata, no pooled simulator state — every structure
-	// is allocated fresh, exactly as the original implementation did.
-	// Results are bit-identical to the default fast path; golden tests
-	// compare the two.
+	// SlowStep selects the retained reference stepper, which executes
+	// and times every instruction in one pass with no trace, no
+	// pre-decoded metadata and no pooled state — every structure is
+	// allocated fresh, exactly as the original implementation did.
+	// Results are bit-identical to the default record-then-replay path;
+	// golden tests compare the two.
 	SlowStep bool
-
-	// TraceIters, when positive, prints per-iteration timing for the
-	// first N iterations of each loop invocation (debug aid; implies
-	// SlowStep). A Config field rather than a package global so that
-	// concurrent runs cannot race on it.
-	TraceIters int64
 }
 
 // effectiveMaxSteps resolves the step-budget default shared by every
-// execution path (run, replay, batched replay): MaxSteps <= 0 means
-// the 2^32 default.
+// execution path (reference, record, replay, batched replay):
+// MaxSteps <= 0 means the 2^32 default.
 func (c Config) effectiveMaxSteps() int64 {
 	if c.MaxSteps <= 0 {
 		return 1 << 32

@@ -20,8 +20,8 @@ func TestRunCancelledContext(t *testing.T) {
 	}
 }
 
-// TestReplayCancelledContext: the trace-replay fast path honours the same
-// contract as full execution.
+// TestReplayCancelledContext: trace replay honours the same contract as
+// a full run.
 func TestReplayCancelledContext(t *testing.T) {
 	p, f := buildMixed(t, 200)
 	_, tr, err := Record(context.Background(), p, nil, f, Conventional(1), 200)

@@ -2,15 +2,14 @@ package sim
 
 // Replay re-times a recorded Trace under a (possibly different) Config
 // without any functional execution: no interpreter, no register files,
-// no validation maps. Every timing expression below mirrors the fast
-// stepper (fast.go) — and therefore the reference stepper — exactly;
-// the golden tests in replay_test.go pin bit-identical Results. The
-// budget check positions are also replicated (once before every dynamic
-// instruction, once before each loop dispatch) so a replay under a
-// smaller MaxSteps fails at the same instruction with the same partial
-// Result as a fresh run would.
+// no validation maps. Every timing expression below mirrors the
+// reference stepper (sim.go) exactly; the golden tests in replay_test.go
+// pin bit-identical Results. The budget check positions are also
+// replicated (once before every dynamic instruction, once before each
+// loop dispatch) so a replay under a smaller MaxSteps fails at the same
+// instruction with the same partial Result as a reference run would.
 //
-// Replayers are pooled: the cpu scoreboards, pooled rings, memory
+// Replayers are pooled: the cpu scoreboards, rings, memory
 // hierarchies and scratch slices all survive across calls, so a
 // steady-state replay allocates only its returned Result. The pool
 // checks compatibility — a different core model drops the scoreboards,
@@ -34,7 +33,7 @@ import (
 // config on everything that shapes it: the core count (unless the trace
 // has no parallel loops, which makes it core-count independent) — and
 // implicitly the compiled program, which the caller keys the trace by.
-// SlowStep and TraceIters need the real stepper and are rejected.
+// SlowStep needs the reference stepper and is rejected.
 //
 // Like Run, Replay polls ctx on the step-accounting path and returns
 // ctx.Err() with the partial Result when cancelled.
@@ -42,8 +41,8 @@ func Replay(ctx context.Context, tr *Trace, arch Config) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if arch.SlowStep || arch.TraceIters > 0 {
-		return nil, errors.New("sim: cannot replay with SlowStep or TraceIters")
+	if arch.SlowStep {
+		return nil, errSlowReplay
 	}
 	if arch.Cores <= 0 {
 		arch.Cores = 16
@@ -58,20 +57,21 @@ func Replay(ctx context.Context, tr *Trace, arch Config) (*Result, error) {
 	return &res, err
 }
 
-// replayer is the timing-only counterpart of runner: same per-core
-// buffers and pooled rings/hierarchies, but its only inputs are the
-// trace cursors.
+// errSlowReplay rejects a SlowStep config: a trace has no functional
+// state for the reference stepper to run on.
+var errSlowReplay = errors.New("sim: cannot replay with SlowStep")
+
+// replayer is the timing-only counterpart of the reference runner: its
+// only inputs are the trace cursors, and its per-core buffers, rings and
+// hierarchy are pooled across replays.
 type replayer struct {
-	ctx  context.Context
+	stepBudget
 	tr   *Trace
 	arch Config
 	hier *memsys.Hierarchy
 
-	now      int64
-	steps    int64
-	maxSteps int64
-	check    int64 // next steps value at which checkStep must run
-	res      Result
+	now int64
+	res Result
 
 	runCursor  int // next entry of tr.runs
 	addrCursor int // next entry of tr.addrs
@@ -102,6 +102,43 @@ func ringConfig(arch Config) ringcache.Config {
 		rc.ArrayBytes = 0
 	}
 	return rc
+}
+
+// hierKey identifies a pooled hierarchy shape.
+type hierKey struct {
+	cores int
+	cfg   memsys.Config
+}
+
+// hierPools maps hierKey -> *sync.Pool of *mem.Hierarchy. Hierarchies
+// dominate per-run allocation (the L2 alone is >100k lines); pooling
+// them across runs — including runs on other goroutines — is the
+// single biggest allocation win.
+var hierPools sync.Map
+
+func hierFromPool(cores int, cfg memsys.Config) *memsys.Hierarchy {
+	key := hierKey{cores: cores, cfg: cfg}
+	if p, ok := hierPools.Load(key); ok {
+		if v := p.(*sync.Pool).Get(); v != nil {
+			h := v.(*memsys.Hierarchy)
+			h.Reset()
+			return h
+		}
+	}
+	return memsys.NewHierarchy(cores, cfg)
+}
+
+// hierToPool returns a hierarchy to its shape's pool.
+func hierToPool(h *memsys.Hierarchy, cores int, cfg memsys.Config) {
+	if h == nil {
+		return
+	}
+	key := hierKey{cores: cores, cfg: cfg}
+	p, ok := hierPools.Load(key)
+	if !ok {
+		p, _ = hierPools.LoadOrStore(key, &sync.Pool{})
+	}
+	p.(*sync.Pool).Put(h)
 }
 
 // replayerPool recycles replayers across Replay calls.
@@ -182,22 +219,6 @@ func (rep *replayer) run() error {
 	return nil
 }
 
-// checkStep mirrors runner.checkStep: real budget test plus a context
-// poll, entered only when steps crosses the precomputed check bound.
-func (rep *replayer) checkStep() error {
-	if rep.steps >= rep.maxSteps {
-		return ErrBudget
-	}
-	if err := rep.ctx.Err(); err != nil {
-		return err
-	}
-	rep.check = rep.steps + ctxCheckEvery
-	if rep.check > rep.maxSteps {
-		rep.check = rep.maxSteps
-	}
-	return nil
-}
-
 func (rep *replayer) memLat(core int, addr int64, write bool) int64 {
 	if rep.arch.PerfectMem {
 		return 1
@@ -238,8 +259,29 @@ func (rep *replayer) ringFor(cfg ringcache.Config, numSegs int) *ringcache.Ring 
 	return ring
 }
 
+// metaReady mirrors cpu.Core.OpReady over pre-decoded operands.
+func metaReady(core *cpu.Core, m *instrMeta) int64 {
+	switch m.nuses {
+	case 0:
+		return 0
+	case 1:
+		return core.RegReady(m.uses[0])
+	default:
+		t := core.RegReady(m.uses[0])
+		if v := core.RegReady(m.uses[1]); v > t {
+			t = v
+		}
+		for _, reg := range m.more {
+			if v := core.RegReady(reg); v > t {
+				t = v
+			}
+		}
+		return t
+	}
+}
+
 // seqSpan replays nruns block-runs of sequential code on core 0,
-// mirroring runSequentialFast.
+// mirroring runner.runSequential.
 func (rep *replayer) seqSpan(core *cpu.Core, nruns int) error {
 	tr := rep.tr
 	branchCost := int64(rep.arch.Core.BranchCost)
@@ -377,10 +419,10 @@ func (rep *replayer) replayLoop(lt *loopTrace, seqCore *cpu.Core) error {
 	return nil
 }
 
-// replayIteration mirrors runIterationFast minus everything functional:
-// no interpreter step, no register values, no validation. The wait /
-// signal / shared / private dispatch and every cycle expression are
-// identical.
+// replayIteration mirrors runner.runIteration minus everything
+// functional: no interpreter step, no register values, no validation.
+// The wait / signal / shared / private dispatch and every cycle
+// expression are identical.
 func (rep *replayer) replayIteration(it *iterTrace, ring *ringcache.Ring,
 	convSig []int64, core *cpu.Core, coreTime *int64, c int,
 	c2c, l1 int64) error {

@@ -57,8 +57,8 @@ func ReplayBatch(ctx context.Context, tr *Trace, archs []Config) ([]*Result, []e
 	b := &batchReplayer{ctx: ctx, tr: tr}
 	b.lanes = make([]batchLane, 0, len(archs))
 	for i, arch := range archs {
-		if arch.SlowStep || arch.TraceIters > 0 {
-			errs[i] = errors.New("sim: cannot replay with SlowStep or TraceIters")
+		if arch.SlowStep {
+			errs[i] = errSlowReplay
 			continue
 		}
 		if arch.Cores <= 0 {

@@ -172,9 +172,9 @@ func TestTraceConfigInvariance(t *testing.T) {
 	}
 }
 
-// TestReplayAllWorkloads chains replay equivalence through the fast
-// stepper on every workload analogue (the fast==slow golden tests close
-// the loop to the reference stepper without re-running it here).
+// TestReplayAllWorkloads pins replay against the reference stepper on
+// every workload analogue, under the recording config and two more
+// timing configs retimed from the same trace.
 func TestReplayAllWorkloads(t *testing.T) {
 	if testing.Short() {
 		t.Skip("all-workload replay sweep")
@@ -190,27 +190,28 @@ func TestReplayAllWorkloads(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			recorded, tr, err := Record(context.Background(), w.Prog, comp, w.Entry, HelixRC(16), w.RefArgs...)
+			_, tr, err := Record(context.Background(), w.Prog, comp, w.Entry, HelixRC(16), w.RefArgs...)
 			if err != nil {
 				t.Fatal(err)
 			}
-			replayed, err := Replay(context.Background(), tr, HelixRC(16))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if *replayed != *recorded {
-				t.Errorf("replay diverges from recording:\nreplay: %+v\nrec:    %+v", replayed, recorded)
-			}
-			conv, err := Run(context.Background(), w.Prog, comp, w.Entry, Conventional(16), w.RefArgs...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			convReplay, err := Replay(context.Background(), tr, Conventional(16))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if *convReplay != *conv {
-				t.Errorf("conventional replay diverges from fresh run:\nreplay: %+v\nfresh:  %+v", convReplay, conv)
+			// Register-only decoupling tells shared register slots
+			// apart from other shared data.
+			regOnly := HelixRC(16)
+			regOnly.DecoupleMem = false
+			for i, arch := range []Config{HelixRC(16), Conventional(16), regOnly} {
+				slow := arch
+				slow.SlowStep = true
+				want, err := Run(context.Background(), w.Prog, comp, w.Entry, slow, w.RefArgs...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := Replay(context.Background(), tr, arch)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if *got != *want {
+					t.Errorf("config %d: replay diverges from the reference stepper:\nreplay:    %+v\nreference: %+v", i, got, want)
+				}
 			}
 		})
 	}

@@ -2,15 +2,17 @@ package sim
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"helixrc/internal/hcc"
 	"helixrc/internal/workloads"
 )
 
-// runBoth runs the same simulation on the fast path and the retained
-// reference stepper and asserts bit-identical Results — every cycle
-// count, overhead category, ring statistic and memory statistic.
+// runBoth runs the same simulation on the default record-then-replay
+// path and the retained reference stepper and asserts bit-identical
+// Results — every cycle count, overhead category, ring statistic and
+// memory statistic.
 func runBoth(t *testing.T, name string, build func(arch Config) (*Result, error)) {
 	t.Helper()
 	fast, err := build(Config{})
@@ -22,7 +24,7 @@ func runBoth(t *testing.T, name string, build func(arch Config) (*Result, error)
 		t.Fatalf("%s: slow: %v", name, err)
 	}
 	if *fast != *slow {
-		t.Errorf("%s: fast and slow steppers diverge:\nfast: %+v\nslow: %+v", name, fast, slow)
+		t.Errorf("%s: Run and the reference stepper diverge:\nrun:  %+v\nslow: %+v", name, fast, slow)
 	}
 	if fast.Cycles != slow.Cycles {
 		t.Errorf("%s: Cycles %d != %d", name, fast.Cycles, slow.Cycles)
@@ -100,8 +102,8 @@ func TestFastMatchesSlowWorkload(t *testing.T) {
 	}
 }
 
-// BenchmarkSimHotLoop measures the simulator hot loop on a small INT
-// workload at 16 cores — the fast path with pre-decoded metadata.
+// BenchmarkSimHotLoop measures sim.Run on a small INT workload at 16
+// cores — the default path: functional recording, then replay.
 func BenchmarkSimHotLoop(b *testing.B) {
 	benchmarkHotLoop(b, Config{})
 }
@@ -132,6 +134,49 @@ func benchmarkHotLoop(b *testing.B, sel Config) {
 		}
 		if res.Cycles == 0 {
 			b.Fatal("zero cycles")
+		}
+	}
+}
+
+// TestHeldResultsRetainLittle: a Result is a plain value. Holding many
+// of them (as the harness caches do, charging 1 KiB each) must not keep
+// the simulator's memory image, hierarchy or recorder alive.
+func TestHeldResultsRetainLittle(t *testing.T) {
+	w, err := workloads.Get("181.mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	comp, err := hcc.Compile(w.Prog, w.Entry, hcc.Options{Level: hcc.V3, Cores: 16, TrainArgs: w.TrainArgs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	liveHeap := func() uint64 {
+		// Two collections also empty the sync.Pools (and their victim
+		// caches) that replay state is parked in.
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	const n = 4
+	const perResult = 64 << 10
+	for _, sel := range []Config{{}, {SlowStep: true}} {
+		arch := withSlow(HelixRC(16), sel)
+		held := make([]*Result, 0, n)
+		before := liveHeap()
+		for i := 0; i < n; i++ {
+			res, err := Run(context.Background(), w.Prog, comp, w.Entry, arch, w.TrainArgs...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			held = append(held, res)
+		}
+		after := liveHeap()
+		runtime.KeepAlive(held)
+		if after > before && (after-before)/n >= perResult {
+			t.Errorf("SlowStep=%v: each held Result retains %d KiB, want < %d KiB",
+				sel.SlowStep, (after-before)/n>>10, perResult>>10)
 		}
 	}
 }

@@ -18,7 +18,7 @@ import (
 var ErrBudget = errors.New("sim: step budget exceeded")
 
 // ctxCheckEvery is how many simulated instructions pass between context
-// polls on the budget-check path. At fast-path speeds (millions of
+// polls on the budget-check path. At replay speeds (millions of
 // instructions per second) 64k steps is well under a millisecond, so a
 // cancelled or deadline-expired context is observed promptly without a
 // measurable per-step cost: the hot loops compare steps against a single
@@ -33,21 +33,72 @@ const ctxCheckEvery = 1 << 16
 // bounded by ctxCheckEvery simulated instructions of delay. A nil ctx is
 // treated as context.Background().
 //
-// Two steppers implement the same timing model. The default fast path
-// pre-decodes per-instruction metadata once per block and pools simulator
-// state (ring, hierarchy, contexts, register files) across invocations;
-// Config.SlowStep selects the retained reference stepper, which
-// re-derives everything per dynamic instruction. Both produce
-// bit-identical Results.
+// The default path is Record followed by nothing: Record executes the
+// program functionally, captures a Trace and times it with Replay; Run
+// returns that Result and drops the trace. Config.SlowStep selects the
+// retained reference stepper instead, which interleaves functional
+// execution and timing on every dynamic instruction and re-derives
+// everything as it goes. Both produce bit-identical Results, partial
+// Results of failed runs included.
 func Run(ctx context.Context, prog *ir.Program, comp *hcc.Compiled, entry *ir.Function, arch Config, args ...int64) (*Result, error) {
-	res, _, err := run(ctx, prog, comp, entry, arch, nil, args)
+	if arch.SlowStep {
+		return runReference(ctx, prog, comp, entry, arch, args)
+	}
+	res, _, err := Record(ctx, prog, comp, entry, arch, args...)
 	return res, err
 }
 
-// run is the shared implementation behind Run and Record. rec, when
-// non-nil, receives the dynamic trace (fast path only); the returned int
-// is the register-file width, which Replay needs for the sequential core.
-func run(ctx context.Context, prog *ir.Program, comp *hcc.Compiled, entry *ir.Function, arch Config, rec *recorder, args []int64) (*Result, int, error) {
+// stepBudget is the per-step guard shared by the reference stepper, the
+// functional recorder and the replayer: the hot loops compare steps
+// against check (initially 0, so the first instruction lands in
+// checkStep) and only then pay for the real budget test and a context
+// poll. Because check never exceeds maxSteps, ErrBudget fires at exactly
+// the instruction a direct steps >= maxSteps comparison would.
+type stepBudget struct {
+	ctx      context.Context
+	steps    int64
+	maxSteps int64
+	check    int64 // next steps value at which checkStep must run
+}
+
+func (b *stepBudget) checkStep() error {
+	if b.steps >= b.maxSteps {
+		return ErrBudget
+	}
+	if err := b.ctx.Err(); err != nil {
+		return err
+	}
+	b.check = min(b.steps+ctxCheckEvery, b.maxSteps)
+	return nil
+}
+
+// loopHeaders maps each parallelized loop's header block to its plan.
+func loopHeaders(comp *hcc.Compiled) map[*ir.Block]*hcc.ParallelLoop {
+	m := map[*ir.Block]*hcc.ParallelLoop{}
+	if comp != nil {
+		for _, pl := range comp.Loops {
+			m[pl.Header] = pl
+		}
+	}
+	return m
+}
+
+// maxRegs is the widest register file in the program: the sequential
+// core's scoreboard width.
+func maxRegs(prog *ir.Program) int {
+	n := 0
+	for _, f := range prog.Funcs {
+		n = max(n, f.NumRegs)
+	}
+	return n
+}
+
+// runReference is the retained reference stepper (Config.SlowStep):
+// functional execution and timing in one pass, every structure
+// allocated fresh. It is the oracle the replayers are tested against,
+// and it produces the partial Result of a run that fails before its
+// trace is complete.
+func runReference(ctx context.Context, prog *ir.Program, comp *hcc.Compiled, entry *ir.Function, arch Config, args []int64) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -55,47 +106,31 @@ func run(ctx context.Context, prog *ir.Program, comp *hcc.Compiled, entry *ir.Fu
 		arch.Cores = 16
 	}
 	r := &runner{
-		ctx:  ctx,
-		prog: prog, comp: comp, arch: arch,
+		stepBudget: stepBudget{ctx: ctx, maxSteps: arch.effectiveMaxSteps()},
+		prog:       prog, arch: arch,
 		mem:       interp.NewMemory(prog),
-		headerMap: map[*ir.Block]*hcc.ParallelLoop{},
-		maxSteps:  arch.effectiveMaxSteps(),
-		slow:      arch.SlowStep || arch.TraceIters > 0,
-		rec:       rec,
+		headerMap: loopHeaders(comp),
+		maxRegs:   maxRegs(prog),
 	}
 	if !arch.PerfectMem {
-		if r.slow {
-			r.hier = memsys.NewHierarchy(arch.Cores, arch.Mem)
-		} else {
-			r.hier = hierFromPool(arch.Cores, arch.Mem)
+		r.hier = memsys.NewHierarchy(arch.Cores, arch.Mem)
+	}
+	err := r.runSequential(entry, args)
+	if err == nil {
+		r.res.Cycles = r.now
+		if r.hier != nil {
+			r.res.Mem = r.hier.Stats
 		}
 	}
-	if comp != nil {
-		for _, pl := range comp.Loops {
-			r.headerMap[pl.Header] = pl
-		}
-	}
-	for _, f := range prog.Funcs {
-		if f.NumRegs > r.maxRegs {
-			r.maxRegs = f.NumRegs
-		}
-	}
-	if err := r.runSequential(entry, args); err != nil {
-		r.reclaimHier()
-		return &r.res, r.maxRegs, err
-	}
-	r.res.Cycles = r.now
-	if r.hier != nil {
-		r.res.Mem = r.hier.Stats
-	}
-	r.reclaimHier()
-	return &r.res, r.maxRegs, nil
+	// A copy, so a held Result does not keep the runner's memory image
+	// and hierarchy alive.
+	res := r.res
+	return &res, err
 }
 
 type runner struct {
-	ctx  context.Context
+	stepBudget
 	prog *ir.Program
-	comp *hcc.Compiled
 	arch Config
 	mem  *interp.Memory
 	hier *memsys.Hierarchy
@@ -103,50 +138,8 @@ type runner struct {
 	headerMap map[*ir.Block]*hcc.ParallelLoop
 	maxRegs   int
 
-	now      int64
-	steps    int64
-	maxSteps int64
-	check    int64 // next steps value at which checkStep must run
-	res      Result
-
-	// slow selects the reference stepper; the fields below are the fast
-	// path's reusable state (see fast.go).
-	slow     bool
-	decoded  map[*ir.Block][]instrMeta
-	loops    map[*hcc.ParallelLoop]*loopStatic
-	rings    map[int]*ringcache.Ring
-	parRegs  [][]int64
-	parCores []*cpu.Core
-	coreTime []int64
-	ranReal  []bool
-	stopped  []bool
-	bctxs    []*interp.Context
-	convSig  []int64
-	lastW    map[int64]lastWrite
-	lastVals map[ir.Reg]lastValRec
-	scr      segScratch
-
-	// rec, when non-nil, records a replayable Trace (fast path only).
-	rec *recorder
-}
-
-// checkStep is the slow half of the per-step guard: the steppers compare
-// steps against r.check (initially 0, so the first instruction lands
-// here) and only then pay for the real budget test and a context poll.
-// Because check never exceeds maxSteps, ErrBudget fires at exactly the
-// same instruction as the original direct comparison did.
-func (r *runner) checkStep() error {
-	if r.steps >= r.maxSteps {
-		return ErrBudget
-	}
-	if err := r.ctx.Err(); err != nil {
-		return err
-	}
-	r.check = r.steps + ctxCheckEvery
-	if r.check > r.maxSteps {
-		r.check = r.maxSteps
-	}
-	return nil
+	now int64
+	res Result
 }
 
 // memLat returns the latency of a private (non-ring) access.
@@ -159,13 +152,9 @@ func (r *runner) memLat(core int, addr int64, write bool) int64 {
 
 // runSequential executes code outside parallel loops on core 0.
 func (r *runner) runSequential(entry *ir.Function, args []int64) error {
-	if !r.slow {
-		return r.runSequentialFast(entry, args)
-	}
 	core := cpu.NewCore(r.arch.Core, r.maxRegs)
 	core.Reset(0)
 	ctx := interp.NewContext(r.prog, r.mem, entry, args...)
-	l1 := int64(r.arch.Mem.L1Latency)
 
 	for !ctx.Done() {
 		if r.steps >= r.check {
@@ -186,13 +175,9 @@ func (r *runner) runSequential(entry *ir.Function, args []int64) error {
 		opReady := core.OpReady(in)
 		var lat int64 = cpu.Latency(in.Op)
 		if in.Op.IsMem() {
-			addr := ctx.EffectiveAddr(in)
-			lat = r.memLat(0, addr, in.Op == ir.OpStore)
-			if lat > l1 {
-				// Sequential memory stalls are not "overhead" — they exist
-				// in the baseline too — but keep global stats meaningful.
-				_ = lat
-			}
+			// Sequential memory stalls are not "overhead": they exist in
+			// the baseline too.
+			lat = r.memLat(0, ctx.EffectiveAddr(in), in.Op == ir.OpStore)
 		} else if in.Op == ir.OpCall && in.Extern != nil && in.Extern.Latency > 0 {
 			lat = int64(in.Extern.Latency)
 		}
@@ -214,7 +199,8 @@ func (r *runner) runSequential(entry *ir.Function, args []int64) error {
 	return nil
 }
 
-// trafficClass labels a shared access for decoupling decisions.
+// decoupled reports whether a shared access travels through the ring
+// cache.
 func (r *runner) decoupled(pl *hcc.ParallelLoop, addr int64) bool {
 	if pl.SlotAddrs[addr] {
 		return r.arch.DecoupleReg
@@ -233,144 +219,63 @@ type lastValRec struct {
 	val  int64
 }
 
-// runLoop simulates one invocation of a parallelized loop. The setup and
-// teardown (startup cost, live-in broadcast, drain, flush, architectural
-// state restore) are shared between the fast and slow steppers; only the
-// per-iteration stepping differs.
+// runLoop simulates one invocation of a parallelized loop: startup cost
+// and live-in broadcast, round-robin iterations, drain, flush and
+// architectural state restore.
 func (r *runner) runLoop(pl *hcc.ParallelLoop, ctx *interp.Context, seqCore *cpu.Core) error {
 	n := r.arch.Cores
 	r.res.LoopInvocations++
 	body := pl.Body
 
 	// Which segments actually have synchronization in the body.
-	var segsUsed map[int]bool
-	var lastValDefs map[int32]ir.Reg
-	var ls *loopStatic
-	if r.slow {
-		segsUsed = map[int]bool{}
-		lastValDefs = map[int32]ir.Reg{}
-		for _, b := range body.Blocks {
-			for i := range b.Instrs {
-				if b.Instrs[i].Op == ir.OpSignal {
-					segsUsed[b.Instrs[i].Seg] = true
-				}
+	segsUsed := map[int]bool{}
+	lastValDefs := map[int32]ir.Reg{}
+	for _, b := range body.Blocks {
+		for i := range b.Instrs {
+			if b.Instrs[i].Op == ir.OpSignal {
+				segsUsed[b.Instrs[i].Seg] = true
 			}
 		}
-		for reg, uids := range pl.LastValue {
-			for _, uid := range uids {
-				lastValDefs[uid] = reg
-			}
+	}
+	for reg, uids := range pl.LastValue {
+		for _, uid := range uids {
+			lastValDefs[uid] = reg
 		}
-	} else {
-		ls = r.staticFor(pl)
 	}
 
-	// Startup: wake the pinned worker threads and broadcast live-ins
-	// (workers spin between loops in the HELIX execution model, so
-	// dispatch is cheap).
-	start := r.now + 12 + int64(n)/2
-	if !pl.Counted {
-		r.mem.Store(pl.CtlAddr, math.MaxInt64)
-	}
-	for reg, slot := range pl.SlotOf {
-		r.mem.Store(slot, ctx.Reg(reg))
-		start += 2
-	}
-	if r.rec != nil {
-		r.rec.beginLoop(pl, ctx.Reg)
-	}
+	// Startup: wake the pinned worker threads and broadcast live-ins, 2
+	// cycles per slot store (workers spin between loops in the HELIX
+	// execution model, so dispatch is cheap).
+	start := r.now + 12 + int64(n)/2 + 2*int64(len(pl.SlotOf))
+	enterLoop(pl, ctx, r.mem)
 
-	// Per-core state. The fast path reuses the runner's buffers across
-	// invocations (re-initialized here to exactly the fresh state).
-	var regs [][]int64
-	var cores []*cpu.Core
-	var coreTime []int64
-	var ranReal, stopped []bool
-	if r.slow {
-		regs = make([][]int64, n)
-		cores = make([]*cpu.Core, n)
-		coreTime = make([]int64, n)
-		ranReal = make([]bool, n)
-		stopped = make([]bool, n)
-	} else {
-		r.ensurePerCore(n)
-		regs, cores = r.parRegs, r.parCores
-		coreTime, ranReal, stopped = r.coreTime, r.ranReal, r.stopped
-	}
-	initVals := map[ir.Reg]int64{}
-	for reg := range pl.Reductions {
-		initVals[reg] = ctx.Reg(reg)
-	}
-	srcRegs := ctx.Regs()
+	regs := make([][]int64, n)
+	cores := make([]*cpu.Core, n)
+	coreTime := make([]int64, n)
+	ranReal := make([]bool, n)
+	stopped := make([]bool, n)
 	for c := 0; c < n; c++ {
-		var rf []int64
-		if r.slow {
-			rf = make([]int64, body.NumRegs)
-		} else {
-			rf = r.regBuf(c, body.NumRegs)
-		}
-		copy(rf, srcRegs[:min(len(srcRegs), body.NumRegs)])
-		for reg, rule := range pl.Recompute {
-			rf[rule.Shadow] = ctx.Reg(reg)
-		}
-		for reg, kind := range pl.Reductions {
-			rf[reg] = kind.Identity()
-		}
-		regs[c] = rf
-		if cores[c] == nil || r.slow {
-			cores[c] = cpu.NewCore(r.arch.Core, body.NumRegs)
-		} else {
-			cores[c].Grow(body.NumRegs)
-		}
+		regs[c] = make([]int64, body.NumRegs)
+		initLoopRegs(pl, ctx, regs[c])
+		cores[c] = cpu.NewCore(r.arch.Core, body.NumRegs)
 		cores[c].Reset(start)
 		coreTime[c] = start
-		ranReal[c] = false
-		stopped[c] = false
 	}
 
 	var ring *ringcache.Ring
 	if r.arch.DecoupleReg || r.arch.DecoupleMem || r.arch.DecoupleSync {
-		rc := r.arch.Ring
-		rc.Nodes = n
-		if r.arch.PerfectMem {
-			rc.LinkLatency, rc.InjectLatency, rc.OwnerL1Latency = 0, 0, 0
-			rc.DataBandwidth, rc.SignalBandwidth = 0, 0
-			rc.ArrayBytes = 0
-		}
-		if r.slow {
-			ring = ringcache.New(rc, pl.NumSegs)
-		} else {
-			ring = r.ringFor(rc, pl.NumSegs)
-		}
+		ring = ringcache.New(ringConfig(r.arch), pl.NumSegs)
 	}
 	// Conventional synchronization: prefix-max of signal send times.
-	var convSig []int64
-	if r.slow {
-		convSig = make([]int64, pl.NumSegs)
-	} else {
-		convSig = r.convBuf(pl.NumSegs)
-		r.scr.ensure(pl.NumSegs)
-	}
+	convSig := make([]int64, pl.NumSegs)
 	c2c := int64(r.arch.Mem.CacheToCache)
 	if r.arch.PerfectMem {
 		c2c = 0
 	}
 	l1 := int64(r.arch.Mem.L1Latency)
 
-	var lastW map[int64]lastWrite
-	var lastVals map[ir.Reg]lastValRec
-	if r.slow {
-		lastW = map[int64]lastWrite{}
-		lastVals = map[ir.Reg]lastValRec{}
-	} else {
-		if r.lastW == nil {
-			r.lastW = map[int64]lastWrite{}
-			r.lastVals = map[ir.Reg]lastValRec{}
-		}
-		clear(r.lastW)
-		clear(r.lastVals)
-		lastW, lastVals = r.lastW, r.lastVals
-	}
+	lastW := map[int64]lastWrite{}
+	lastVals := map[ir.Reg]lastValRec{}
 
 	exitIter := int64(-1)
 	exitCode := int64(-1)
@@ -384,27 +289,10 @@ func (r *runner) runLoop(pl *hcc.ParallelLoop, ctx *interp.Context, seqCore *cpu
 			iter++
 			continue
 		}
-		tStart := coreTime[c]
-		var status int64
-		var err error
-		if r.rec != nil {
-			r.rec.beginIter()
-		}
-		if r.slow {
-			status, err = r.runIteration(pl, ring, convSig, segsUsed, lastValDefs,
-				regs[c], cores[c], &coreTime[c], c, iter, c2c, l1, lastW, lastVals)
-		} else {
-			status, err = r.runIterationFast(pl, ls, ring, convSig,
-				regs[c], cores[c], &coreTime[c], c, iter, c2c, l1, lastW, lastVals)
-		}
+		status, err := r.runIteration(pl, ring, convSig, segsUsed, lastValDefs,
+			regs[c], cores[c], &coreTime[c], c, iter, c2c, l1, lastW, lastVals)
 		if err != nil {
 			return err
-		}
-		if r.rec != nil {
-			r.rec.endIter(status)
-		}
-		if r.arch.TraceIters > 0 && iter < r.arch.TraceIters {
-			fmt.Printf("iter %3d core %2d start=%6d end=%6d status=%d\n", iter, c, tStart, coreTime[c], status)
 		}
 		switch {
 		case status == 0:
@@ -465,33 +353,9 @@ func (r *runner) runLoop(pl *hcc.ParallelLoop, ctx *interp.Context, seqCore *cpu
 		end += int64(r.arch.Mem.L2Latency)
 	}
 
-	if r.rec != nil {
-		r.rec.endLoop(lastVals)
+	if err := exitLoop(pl, ctx, r.mem, regs, lastVals, exitCore, exitIter, exitCode); err != nil {
+		return err
 	}
-
-	// Restore architectural state into the continuing context.
-	exitRegs := regs[exitCore]
-	dst := ctx.Regs()
-	copy(dst, exitRegs[:min(len(dst), len(exitRegs))])
-	for reg, kind := range pl.Reductions {
-		acc := initVals[reg]
-		for c := 0; c < n; c++ {
-			acc = kind.Combine(acc, regs[c][reg])
-		}
-		ctx.SetReg(reg, acc)
-	}
-	for reg, slot := range pl.SlotOf {
-		ctx.SetReg(reg, r.mem.Load(slot))
-	}
-	for reg := range pl.LastValue {
-		if rec, ok := lastVals[reg]; ok {
-			ctx.SetReg(reg, rec.val)
-		}
-	}
-	if int(exitCode) >= len(pl.ExitTargets) {
-		return &ValidationError{Loop: pl.ID, Iter: exitIter, Msg: "bad exit code"}
-	}
-	ctx.JumpTo(pl.ExitTargets[exitCode])
 
 	parCycles := end + 5 - r.now // +5: live-out collection
 	r.res.ParallelCycles += parCycles
@@ -500,11 +364,69 @@ func (r *runner) runLoop(pl *hcc.ParallelLoop, ctx *interp.Context, seqCore *cpu
 	return nil
 }
 
-// runIteration simulates one iteration functionally and in time. This is
-// the retained reference stepper (Config.SlowStep): it re-derives operand
-// sets, latencies and traffic classes on every dynamic instruction and
-// allocates its bookkeeping fresh. runIterationFast must match it
-// bit-for-bit.
+// enterLoop is a loop invocation's functional startup: arm an uncounted
+// loop's control word and broadcast the shared live-ins to their slots.
+func enterLoop(pl *hcc.ParallelLoop, ctx *interp.Context, mem *interp.Memory) {
+	if !pl.Counted {
+		mem.Store(pl.CtlAddr, math.MaxInt64)
+	}
+	for reg, slot := range pl.SlotOf {
+		mem.Store(slot, ctx.Reg(reg))
+	}
+}
+
+// initLoopRegs initializes a core's body register file from the
+// continuing context: its registers, the recompute shadows and the
+// reduction identities.
+func initLoopRegs(pl *hcc.ParallelLoop, ctx *interp.Context, rf []int64) {
+	copy(rf, ctx.Regs())
+	for reg, rule := range pl.Recompute {
+		rf[rule.Shadow] = ctx.Reg(reg)
+	}
+	for reg, kind := range pl.Reductions {
+		rf[reg] = kind.Identity()
+	}
+}
+
+// exitLoop restores a finished invocation's architectural state into the
+// continuing context — the exiting core's registers, the reductions
+// combined across cores, the slot values and the last values — and
+// resumes it at the exit the exiting iteration took. The context's own
+// registers are untouched while the loop runs, so they still hold the
+// reductions' initial values.
+func exitLoop(pl *hcc.ParallelLoop, ctx *interp.Context, mem *interp.Memory, regs [][]int64,
+	lastVals map[ir.Reg]lastValRec, exitCore int, exitIter, exitCode int64) error {
+	reduced := make(map[ir.Reg]int64, len(pl.Reductions))
+	for reg, kind := range pl.Reductions {
+		acc := ctx.Reg(reg)
+		for _, rf := range regs {
+			acc = kind.Combine(acc, rf[reg])
+		}
+		reduced[reg] = acc
+	}
+	copy(ctx.Regs(), regs[exitCore])
+	for reg, v := range reduced {
+		ctx.SetReg(reg, v)
+	}
+	for reg, slot := range pl.SlotOf {
+		ctx.SetReg(reg, mem.Load(slot))
+	}
+	for reg := range pl.LastValue {
+		if lv, ok := lastVals[reg]; ok {
+			ctx.SetReg(reg, lv.val)
+		}
+	}
+	if int(exitCode) >= len(pl.ExitTargets) {
+		return &ValidationError{Loop: pl.ID, Iter: exitIter, Msg: "bad exit code"}
+	}
+	ctx.JumpTo(pl.ExitTargets[exitCode])
+	return nil
+}
+
+// runIteration simulates one iteration functionally and in time. It
+// re-derives operand sets, latencies and traffic classes on every
+// dynamic instruction and allocates its bookkeeping fresh; Replay and
+// ReplayBatch must match it bit for bit.
 func (r *runner) runIteration(pl *hcc.ParallelLoop, ring *ringcache.Ring,
 	convSig []int64, segsUsed map[int]bool, lastValDefs map[int32]ir.Reg,
 	rf []int64, core *cpu.Core, coreTime *int64, c int, iter int64,
@@ -518,7 +440,6 @@ func (r *runner) runIteration(pl *hcc.ParallelLoop, ring *ringcache.Ring,
 	sigCount := make(map[int]int, pl.NumSegs)
 	activeSegs := 0
 	var status int64 = -1
-	traceIters := r.arch.TraceIters
 
 	for !bctx.Done() {
 		if r.steps >= r.check {
@@ -549,9 +470,6 @@ func (r *runner) runIteration(pl *hcc.ParallelLoop, ring *ringcache.Ring,
 				}
 			}
 			core.Barrier(ready)
-			if traceIters > 0 && iter < traceIters {
-				fmt.Printf("  iter %3d core %2d wait seg %d at %d ready %d (stall %d)\n", iter, c, s, iss+1, ready, ready-(iss+1))
-			}
 			r.res.Overheads.DependenceWaiting += ready - (iss + 1)
 			r.res.Overheads.WaitSignal++
 			t = ready
@@ -576,9 +494,6 @@ func (r *runner) runIteration(pl *hcc.ParallelLoop, ring *ringcache.Ring,
 				}
 			}
 			sigCount[s]++
-			if traceIters > 0 && iter < traceIters {
-				fmt.Printf("  iter %3d core %2d signal seg %d at %d\n", iter, c, s, send)
-			}
 			r.res.Overheads.WaitSignal++
 			if waitDone[s] && activeSegs > 0 {
 				activeSegs--
@@ -645,9 +560,6 @@ func (r *runner) runIteration(pl *hcc.ParallelLoop, ring *ringcache.Ring,
 			issue = iss
 		}
 
-		if traceIters > 0 && iter >= 17 && iter < 19 {
-			fmt.Printf("    it%d c%d t=%-6d iss=%-6d %s\n", iter, c, t, issue, in.String())
-		}
 		if in.Origin < 0 && !in.Op.IsSync() {
 			r.res.Overheads.AddedInstr++
 		}

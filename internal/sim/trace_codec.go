@@ -388,19 +388,18 @@ func DecodeResult(data []byte) (*Result, error) {
 // ConfigFingerprintScheme versions Config.Fingerprint's derivation;
 // cache layers fold it into their scheme tags so a derivation change
 // invalidates persisted keys.
-const ConfigFingerprintScheme = "simcfg1"
+const ConfigFingerprintScheme = "simcfg2"
 
 // Fingerprint returns a stable content hash of the timing-relevant
 // configuration, for content-addressed cache keys. Every Config field
 // is a flat value (ints and bools all the way down), so the derivation
 // hashes the %+v rendering under a scheme tag: adding, removing or
 // renaming a field changes every fingerprint, which is exactly the safe
-// direction for cache keys. Execution-strategy switches — SlowStep,
-// NoReplay, TraceIters — are normalized out: they select how a result
-// is computed, not what it is (the golden tests pin all three paths
-// bit-identical).
+// direction for cache keys. The execution-strategy switch SlowStep is
+// normalized out: it selects how a result is computed, not what it is
+// (the golden tests pin both paths bit-identical).
 func (c Config) Fingerprint() string {
-	c.SlowStep, c.NoReplay, c.TraceIters = false, false, 0
+	c.SlowStep = false
 	sum := sha256.Sum256(fmt.Appendf(nil, "%s %+v", ConfigFingerprintScheme, c))
 	return hex.EncodeToString(sum[:])
 }

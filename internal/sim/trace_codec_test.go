@@ -174,13 +174,7 @@ func TestConfigFingerprint(t *testing.T) {
 	}
 	slow := base
 	slow.SlowStep = true
-	noreplay := base
-	noreplay.NoReplay = true
-	traced := base
-	traced.TraceIters = 99
-	for name, c := range map[string]Config{"slowstep": slow, "noreplay": noreplay, "traceiters": traced} {
-		if c.Fingerprint() != base.Fingerprint() {
-			t.Errorf("%s changed the fingerprint; strategy switches must be normalized out", name)
-		}
+	if slow.Fingerprint() != base.Fingerprint() {
+		t.Error("SlowStep changed the fingerprint; the strategy switch must be normalized out")
 	}
 }

@@ -207,3 +207,76 @@ func TestSequentialOnlyProgram(t *testing.T) {
 		t.Error("no loops should have run")
 	}
 }
+
+// TestFailedRunMatchesReference: a run that fails has no trace to
+// replay, so Run must hand back exactly the reference stepper's error
+// and partial Result — for every violated compiler guarantee and for an
+// exhausted step budget. The functional pass itself must stop with the
+// reference's error too: Run's fallback would otherwise hide a check
+// the recorder misses whenever another check catches the same fault.
+func TestFailedRunMatchesReference(t *testing.T) {
+	budget := HelixRC(16)
+	budget.MaxSteps = 5000
+	for _, tc := range []struct {
+		name  string
+		arch  Config
+		fault func(b *ir.Block, i int) bool
+	}{
+		{"budget", budget, func(*ir.Block, int) bool { return false }},
+		{"missing wait", HelixRC(16), func(b *ir.Block, i int) bool {
+			if b.Instrs[i].Op == ir.OpWait {
+				b.Instrs[i] = ir.NewInstr(ir.OpNop)
+			}
+			return false
+		}},
+		{"double signal", HelixRC(16), func(b *ir.Block, i int) bool {
+			if b.Instrs[i].Op != ir.OpSignal {
+				return false
+			}
+			b.Instrs = append(b.Instrs[:i+1], b.Instrs[i:]...)
+			return true
+		}},
+		{"leaked shared store", HelixRC(16), func(b *ir.Block, i int) bool {
+			if in := &b.Instrs[i]; in.Op == ir.OpStore && in.SharedSeg >= 0 {
+				in.SharedSeg = -1
+				return true
+			}
+			return false
+		}},
+		{"leaked shared load", HelixRC(16), func(b *ir.Block, i int) bool {
+			if in := &b.Instrs[i]; in.Op == ir.OpLoad && in.SharedSeg >= 0 {
+				in.SharedSeg = -1
+				return true
+			}
+			return false
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, f, comp, pl := compileMixed(t)
+		inject:
+			for _, b := range pl.Body.Blocks {
+				for i := range b.Instrs {
+					if tc.fault(b, i) {
+						break inject
+					}
+				}
+			}
+			slow := tc.arch
+			slow.SlowStep = true
+			want, werr := Run(context.Background(), p, comp, f, slow, 600)
+			if werr == nil {
+				t.Fatal("the reference stepper accepted the faulty run")
+			}
+			if _, ferr := record(context.Background(), p, comp, f, tc.arch, []int64{600}); ferr == nil || ferr.Error() != werr.Error() {
+				t.Errorf("functional pass error %v, reference %v", ferr, werr)
+			}
+			got, gerr := Run(context.Background(), p, comp, f, tc.arch, 600)
+			if gerr == nil || gerr.Error() != werr.Error() {
+				t.Fatalf("Run error %v, reference %v", gerr, werr)
+			}
+			if *got != *want {
+				t.Errorf("partial results diverge:\nrun:       %+v\nreference: %+v", got, want)
+			}
+		})
+	}
+}

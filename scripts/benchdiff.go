@@ -64,9 +64,6 @@ func describe(r run) string {
 	if r.SlowSim {
 		extras += " slowsim"
 	}
-	if r.NoReplay {
-		extras += " noreplay"
-	}
 	if r.Workers > 0 {
 		extras += fmt.Sprintf(" workers=%d", r.Workers)
 	}
@@ -166,8 +163,8 @@ type budgetFile struct {
 // enforceBudgets gates the last run of reportPath against the budget
 // file: every family's summed wall-clock must stay under its ceiling
 // and the run's cumulative allocation under the cap. A missing
-// experiment, an interrupted/partial/failed run, or a run with the
-// fast path disabled (slowsim/noreplay — the budgets assume it) all
+// experiment, an interrupted/partial/failed run, or a run on the
+// reference stepper (slowsim — the budgets assume record/replay) all
 // fail the gate.
 func enforceBudgets(budgetsPath, reportPath string) {
 	data, err := os.ReadFile(budgetsPath)
@@ -187,9 +184,8 @@ func enforceBudgets(budgetsPath, reportPath string) {
 		fatalf("last run of %s is incomplete (interrupted=%v partial=%v error=%q); budgets need a full run",
 			reportPath, r.Interrupted, r.Partial, r.Error)
 	}
-	if r.SlowSim || r.NoReplay {
-		fatalf("last run of %s disabled the replay fast path (slowsim=%v noreplay=%v); budgets assume it",
-			reportPath, r.SlowSim, r.NoReplay)
+	if r.SlowSim {
+		fatalf("last run of %s used the reference stepper (slowsim); budgets assume record/replay", reportPath)
 	}
 	wall := map[string]float64{}
 	for _, e := range r.Experiments {

@@ -56,7 +56,7 @@ go run ./scripts -enforce -budgets perf/explore_budgets.json "$explorereport"
 
 # Differential fuzzing smoke: a fixed-seed sweep of generated loop
 # programs cross-checked through interp, HCC parallelization, the sim
-# fast path and trace replay. Deterministic, ~5s.
+# reference stepper and trace replay. Deterministic, ~5s.
 go run ./cmd/helix-fuzz -start 0 -seeds 24 -quick -parallel 0
 
 # Serving coverage gate: the daemon package must stay well-tested —
