@@ -1,6 +1,7 @@
 package alias
 
 import (
+	"math/rand"
 	"testing"
 
 	"helixrc/internal/ir"
@@ -276,6 +277,73 @@ func TestTierMonotonicity(t *testing.T) {
 					t.Errorf("tier %v added alias pair (%d,%d) missing at tier %v",
 						an[ti].Tier, i, j, an[ti-1].Tier)
 				}
+			}
+		}
+	}
+}
+
+// TestSiteSetMatchesMapModel drives random Add/AddAll/Has/Intersects
+// sequences against a map-backed model of the set.
+func TestSiteSetMatchesMapModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	const universe = 24
+	sets := make([]*SiteSet, 6)
+	models := make([]map[ir.Site]bool, len(sets))
+	for i := range sets {
+		sets[i], models[i] = NewSiteSet(), map[ir.Site]bool{}
+	}
+	for step := 0; step < 4000; step++ {
+		i, j := rng.Intn(len(sets)), rng.Intn(len(sets))
+		s, m := sets[i], models[i]
+		switch rng.Intn(4) {
+		case 0:
+			site := ir.Site(rng.Intn(universe))
+			if got, want := s.Add(site), !m[site]; got != want {
+				t.Fatalf("step %d: Add(%d) = %v, want %v", step, site, got, want)
+			}
+			m[site] = true
+		case 1:
+			want := false
+			for site := range models[j] {
+				if !m[site] {
+					m[site], want = true, true
+				}
+			}
+			if got := s.AddAll(sets[j]); got != want {
+				t.Fatalf("step %d: AddAll = %v, want %v", step, got, want)
+			}
+		case 2:
+			want := len(m) == 0 || len(models[j]) == 0
+			for site := range m {
+				want = want || models[j][site]
+			}
+			if got := Intersects(s, sets[j]); got != want {
+				t.Fatalf("step %d: Intersects = %v, want %v", step, got, want)
+			}
+		case 3:
+			if rng.Intn(8) == 0 {
+				cm := map[ir.Site]bool{}
+				for site := range models[j] {
+					cm[site] = true
+				}
+				sets[i], models[i] = sets[j].Clone(), cm
+			}
+		}
+		s, m = sets[i], models[i]
+		sub := true
+		for site := range m {
+			sub = sub && models[j][site]
+		}
+		if got := s.subsetOf(sets[j]); got != sub {
+			t.Fatalf("step %d: subsetOf = %v, want %v", step, got, sub)
+		}
+		sites := s.Sites()
+		if len(sites) != len(m) || s.Len() != len(m) {
+			t.Fatalf("step %d: %d sites, model has %d", step, len(sites), len(m))
+		}
+		for k, site := range sites {
+			if !m[site] || !s.Has(site) || (k > 0 && sites[k-1] >= site) {
+				t.Fatalf("step %d: sites %v not the sorted model %v", step, sites, m)
 			}
 		}
 	}

@@ -43,7 +43,7 @@ type andersen struct {
 	regPts map[*ir.Function][]*SiteSet
 	// content[site] is the points-to set of values stored into the site
 	// (field-insensitive heap model).
-	content map[ir.Site]*SiteSet
+	content []*SiteSet
 	// ret[fn] is the points-to set of fn's return value.
 	ret map[*ir.Function]*SiteSet
 }
@@ -53,7 +53,7 @@ func solveAndersen(p *ir.Program) *andersen {
 		prog:    p,
 		gm:      newGlobalMap(p),
 		regPts:  map[*ir.Function][]*SiteSet{},
-		content: map[ir.Site]*SiteSet{},
+		content: make([]*SiteSet, p.NumSites()),
 		ret:     map[*ir.Function]*SiteSet{},
 	}
 	for _, f := range p.Funcs {
@@ -78,7 +78,7 @@ func solveAndersen(p *ir.Program) *andersen {
 			sets[i] = parent[i]
 		}
 	}
-	for s := ir.Site(0); int(s) < p.NumSites(); s++ {
+	for s := range a.content {
 		a.content[s] = NewSiteSet()
 	}
 	// Iterate to fixpoint; program sizes make a simple loop fine.

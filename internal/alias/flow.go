@@ -1,6 +1,8 @@
 package alias
 
 import (
+	"slices"
+
 	"helixrc/internal/cfg"
 	"helixrc/internal/ir"
 )
@@ -9,6 +11,10 @@ import (
 // set, optionally an exact (site, offset) location, and optionally a known
 // integer constant. Exactness is what powers the path-based tier: two
 // accesses to provably different words of the same object do not alias.
+//
+// A points-to set held by an absVal is never mutated: transfer functions
+// build fresh sets and otherwise share them, so copying a register file
+// is a flat copy.
 type absVal struct {
 	pts   *SiteSet
 	site  ir.Site
@@ -18,24 +24,8 @@ type absVal struct {
 	isC   bool
 }
 
-func (v absVal) clone() absVal {
-	if v.pts != nil {
-		v.pts = v.pts.Clone()
-	}
-	return v
-}
-
 func meetVal(a, b absVal) absVal {
-	out := absVal{}
-	switch {
-	case a.pts == nil:
-		out.pts = b.pts
-	case b.pts == nil:
-		out.pts = a.pts
-	default:
-		out.pts = a.pts.Clone()
-		out.pts.AddAll(b.pts)
-	}
+	out := absVal{pts: unionPts(a.pts, b.pts)}
 	if a.exact && b.exact && a.site == b.site && a.off == b.off {
 		out.exact, out.site, out.off = true, a.site, a.off
 	}
@@ -60,41 +50,27 @@ func sameVal(a, b absVal) bool {
 	if ap != bp {
 		return false
 	}
-	if !ap {
-		return true
-	}
-	if a.pts.Universal != b.pts.Universal || a.pts.Len() != b.pts.Len() {
-		return false
-	}
-	for _, s := range a.pts.Sites() {
-		if !b.pts.Has(s) {
-			return false
-		}
-	}
-	return true
+	return !ap || a.pts == b.pts || a.pts.Equal(b.pts)
 }
 
 // state is a register file of abstract values.
 type state []absVal
 
-func (s state) clone() state {
-	c := make(state, len(s))
-	for i := range s {
-		c[i] = s[i].clone()
-	}
-	return c
-}
-
-func meetState(a, b state) (state, bool) {
+// meetState writes the meet of a and b into out, reporting whether it
+// differs from a.
+func meetState(out, a, b state) bool {
 	changed := false
-	out := make(state, len(a))
 	for i := range a {
+		if a[i] == b[i] {
+			out[i] = a[i] // meetVal(v, v) is v
+			continue
+		}
 		out[i] = meetVal(a[i], b[i])
 		if !sameVal(out[i], a[i]) {
 			changed = true
 		}
 	}
-	return out, changed
+	return changed
 }
 
 // flowPass runs an intra-procedural forward dataflow over f, then records
@@ -169,7 +145,7 @@ func (an *Analysis) flowPass(f *ir.Function, g *cfg.Graph) {
 			if bp == nil || bp.Universal || bp.Empty() {
 				v.pts = Universe()
 			} else {
-				for _, site := range bp.Sites() {
+				for _, site := range bp.sites {
 					v.pts.AddAll(and.content[site])
 				}
 			}
@@ -177,7 +153,7 @@ func (an *Analysis) flowPass(f *ir.Function, g *cfg.Graph) {
 		case ir.OpCall:
 			v := absVal{pts: NewSiteSet()}
 			if in.Callee != nil {
-				v.pts = and.ret[in.Callee].Clone()
+				v.pts = and.ret[in.Callee]
 			}
 			set(in.Dst, v)
 		}
@@ -194,27 +170,27 @@ func (an *Analysis) flowPass(f *ir.Function, g *cfg.Graph) {
 	ins[f.Entry().Index] = entrySt
 	visited[f.Entry().Index] = true
 
+	// Block-local working state and meet output, reused across blocks.
+	st := make(state, f.NumRegs)
+	merged := make(state, f.NumRegs)
 	for changed := true; changed; {
 		changed = false
 		for _, b := range g.RPO {
 			if !visited[b.Index] {
 				continue
 			}
-			st := ins[b.Index].clone()
+			copy(st, ins[b.Index])
 			for i := range b.Instrs {
 				transfer(st, &b.Instrs[i], false)
 			}
 			for _, s := range g.Succs[b.Index] {
 				if !visited[s.Index] {
-					ins[s.Index] = st.clone()
+					ins[s.Index] = slices.Clone(st)
 					visited[s.Index] = true
 					changed = true
-				} else {
-					merged, ch := meetState(ins[s.Index], st)
-					if ch {
-						ins[s.Index] = merged
-						changed = true
-					}
+				} else if meetState(merged, ins[s.Index], st) {
+					copy(ins[s.Index], merged)
+					changed = true
 				}
 			}
 		}
@@ -225,7 +201,7 @@ func (an *Analysis) flowPass(f *ir.Function, g *cfg.Graph) {
 		if !visited[b.Index] {
 			continue
 		}
-		st := ins[b.Index].clone()
+		copy(st, ins[b.Index])
 		for i := range b.Instrs {
 			transfer(st, &b.Instrs[i], true)
 		}
@@ -299,14 +275,16 @@ func foldArith(op ir.Op, a, b absVal) absVal {
 	return out
 }
 
+// unionPts returns the union of two points-to sets (nil meaning no
+// information), sharing an operand that already covers the other.
 func unionPts(a, b *SiteSet) *SiteSet {
 	switch {
-	case a == nil && b == nil:
-		return nil
 	case a == nil:
-		return b.Clone()
-	case b == nil:
-		return a.Clone()
+		return b
+	case b == nil || b.subsetOf(a):
+		return a
+	case a.subsetOf(b):
+		return b
 	}
 	u := a.Clone()
 	u.AddAll(b)

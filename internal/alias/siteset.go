@@ -13,17 +13,23 @@
 // table: raising the tier monotonically removes may-alias pairs.
 package alias
 
-import "helixrc/internal/ir"
+import (
+	"slices"
+
+	"helixrc/internal/ir"
+)
 
 // SiteSet is a set of allocation sites, with a dedicated universal element
-// for "could point anywhere" (lost track of the pointer).
+// for "could point anywhere" (lost track of the pointer). Members are kept
+// as a sorted slice: sets are small, so merges and binary searches beat
+// hashing, and a copy is a single allocation.
 type SiteSet struct {
 	Universal bool
-	sites     map[ir.Site]struct{}
+	sites     []ir.Site // ascending, no duplicates; nil when Universal
 }
 
 // NewSiteSet returns an empty set.
-func NewSiteSet() *SiteSet { return &SiteSet{sites: map[ir.Site]struct{}{}} }
+func NewSiteSet() *SiteSet { return &SiteSet{} }
 
 // Universe returns the universal set.
 func Universe() *SiteSet { return &SiteSet{Universal: true} }
@@ -33,33 +39,53 @@ func (s *SiteSet) Add(site ir.Site) bool {
 	if s.Universal {
 		return false
 	}
-	if _, ok := s.sites[site]; ok {
+	i, found := slices.BinarySearch(s.sites, site)
+	if found {
 		return false
 	}
-	s.sites[site] = struct{}{}
+	s.sites = slices.Insert(s.sites, i, site)
 	return true
 }
 
 // AddAll unions other into s, reporting change.
 func (s *SiteSet) AddAll(other *SiteSet) bool {
-	if other == nil {
-		return false
-	}
-	if s.Universal {
+	if other == nil || other == s || s.Universal {
 		return false
 	}
 	if other.Universal {
-		s.Universal = true
-		s.sites = nil
-		return true
+		return s.MakeUniversal()
 	}
-	changed := false
-	for site := range other.sites {
-		if s.Add(site) {
-			changed = true
+	fresh := 0
+	i := 0
+	for _, x := range other.sites {
+		for i < len(s.sites) && s.sites[i] < x {
+			i++
+		}
+		if i == len(s.sites) || s.sites[i] != x {
+			fresh++
 		}
 	}
-	return changed
+	if fresh == 0 {
+		return false
+	}
+	// Merge from the back so the grown slice is filled in place.
+	n := len(s.sites)
+	s.sites = slices.Grow(s.sites, fresh)[:n+fresh]
+	i, j := n-1, len(other.sites)-1
+	for k := n + fresh - 1; j >= 0; k-- {
+		switch {
+		case i >= 0 && s.sites[i] >= other.sites[j]:
+			if s.sites[i] == other.sites[j] {
+				j--
+			}
+			s.sites[k] = s.sites[i]
+			i--
+		default:
+			s.sites[k] = other.sites[j]
+			j--
+		}
+	}
+	return true
 }
 
 // MakeUniversal widens the set, reporting change.
@@ -83,8 +109,8 @@ func (s *SiteSet) Has(site ir.Site) bool {
 	if s.Universal {
 		return true
 	}
-	_, ok := s.sites[site]
-	return ok
+	_, found := slices.BinarySearch(s.sites, site)
+	return found
 }
 
 // Single returns the set's only site, if it has exactly one.
@@ -92,31 +118,41 @@ func (s *SiteSet) Single() (ir.Site, bool) {
 	if s.Universal || len(s.sites) != 1 {
 		return 0, false
 	}
-	for site := range s.sites {
-		return site, true
-	}
-	return 0, false
+	return s.sites[0], true
 }
 
-// Sites returns the members (nil for universal).
-func (s *SiteSet) Sites() []ir.Site {
-	out := make([]ir.Site, 0, len(s.sites))
-	for site := range s.sites {
-		out = append(out, site)
+// Sites returns a copy of the members in ascending order (nil for
+// universal).
+func (s *SiteSet) Sites() []ir.Site { return slices.Clone(s.sites) }
+
+// Equal reports whether two sets have the same members.
+func (s *SiteSet) Equal(o *SiteSet) bool {
+	return s.Universal == o.Universal && slices.Equal(s.sites, o.sites)
+}
+
+// subsetOf reports whether every member of s is in o.
+func (s *SiteSet) subsetOf(o *SiteSet) bool {
+	if o.Universal {
+		return true
 	}
-	return out
+	if s.Universal || len(s.sites) > len(o.sites) {
+		return false
+	}
+	j := 0
+	for _, x := range s.sites {
+		for j < len(o.sites) && o.sites[j] < x {
+			j++
+		}
+		if j == len(o.sites) || o.sites[j] != x {
+			return false
+		}
+	}
+	return true
 }
 
 // Clone returns a copy.
 func (s *SiteSet) Clone() *SiteSet {
-	if s.Universal {
-		return Universe()
-	}
-	c := NewSiteSet()
-	for site := range s.sites {
-		c.sites[site] = struct{}{}
-	}
-	return c
+	return &SiteSet{Universal: s.Universal, sites: slices.Clone(s.sites)}
 }
 
 // Intersects reports whether two sets could name the same site. An empty
@@ -131,13 +167,14 @@ func Intersects(a, b *SiteSet) bool {
 	if au || bu {
 		return true
 	}
-	// Iterate the smaller set.
-	small, big := a, b
-	if len(b.sites) < len(a.sites) {
-		small, big = b, a
-	}
-	for site := range small.sites {
-		if _, ok := big.sites[site]; ok {
+	i, j := 0, 0
+	for i < len(a.sites) && j < len(b.sites) {
+		switch {
+		case a.sites[i] < b.sites[j]:
+			i++
+		case a.sites[i] > b.sites[j]:
+			j++
+		default:
 			return true
 		}
 	}

@@ -16,10 +16,10 @@ func TestLivenessStraightLine(t *testing.T) {
 	g := New(f)
 	lv := ComputeLiveness(g)
 	in := lv.LiveIn[f.Entry().Index]
-	if !in[f.Params[0]] || !in[f.Params[1]] {
+	if !in.Has(f.Params[0]) || !in.Has(f.Params[1]) {
 		t.Error("parameters must be live-in at entry")
 	}
-	if in[x] || in[y] {
+	if in.Has(x) || in.Has(y) {
 		t.Error("locally defined temps must not be live-in")
 	}
 }
@@ -55,14 +55,14 @@ func TestLivenessAroundLoop(t *testing.T) {
 	lv := ComputeLiveness(g)
 	hdr := lv.LiveAtHeader(forest.Loops[0])
 	for _, r := range []ir.Reg{i, sum, n} {
-		if !hdr[r] {
+		if !hdr.Has(r) {
 			t.Errorf("r%d must be live at the loop header", r)
 		}
 	}
-	if hdr[tmp] {
+	if hdr.Has(tmp) {
 		t.Error("body-local temp must not be live at the header")
 	}
-	if hdr[c] {
+	if hdr.Has(c) {
 		t.Error("the condition temp must not be live around the backedge")
 	}
 }
@@ -84,10 +84,36 @@ func TestLivenessDiamondPartialDef(t *testing.T) {
 	b.Ret(ir.R(x))
 	g := New(f)
 	lv := ComputeLiveness(g)
-	if !lv.LiveIn[f.Entry().Index][x] {
+	if !lv.LiveIn[f.Entry().Index].Has(x) {
 		t.Error("partially defined register must remain live-in")
 	}
-	if !lv.LiveOut[f.Entry().Index][x] {
+	if !lv.LiveOut[f.Entry().Index].Has(x) {
 		t.Error("x is live-out of the entry block via the fallthrough path")
+	}
+}
+
+func TestRegSet(t *testing.T) {
+	s := NewRegSet(130)
+	for _, r := range []ir.Reg{129, 0, 64, 63} {
+		s.Add(r)
+	}
+	o := NewRegSet(130)
+	o.Add(5)
+	o.Add(64)
+	s.Union(o)
+	got := s.Regs()
+	want := []ir.Reg{0, 5, 63, 64, 129}
+	if len(got) != len(want) {
+		t.Fatalf("Regs() = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] || !s.Has(want[i]) {
+			t.Fatalf("Regs() = %v, want %v", got, want)
+		}
+	}
+	for _, r := range []ir.Reg{1, 65, 128, 192, ir.NoReg} {
+		if s.Has(r) {
+			t.Errorf("Has(%d) on a non-member", r)
+		}
 	}
 }

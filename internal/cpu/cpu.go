@@ -209,4 +209,3 @@ func (c *Core) Barrier(t int64) {
 		c.slotUsed = 0
 	}
 }
-

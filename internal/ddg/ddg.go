@@ -52,14 +52,14 @@ type Graph struct {
 	MemEdges []MemEdge
 	// CarriedRegs are registers live around the backedge and defined in
 	// the loop — the loop-carried register dependences before
-	// predictability analysis.
+	// predictability analysis, in ascending order.
 	CarriedRegs []ir.Reg
-	// LiveIn is the set of registers live at the header (loop inputs).
-	LiveIn map[ir.Reg]bool
 }
 
-// Build computes the dependence graph for loop under the given alias tier.
-func Build(prog *ir.Program, fn *ir.Function, g *cfg.Graph, loop *cfg.Loop, an *alias.Analysis) *Graph {
+// Build computes the dependence graph for loop under the given alias
+// tier. lv is fn's liveness (cfg.ComputeLiveness over g), shared by
+// every loop of the function.
+func Build(prog *ir.Program, fn *ir.Function, g *cfg.Graph, lv *cfg.Liveness, loop *cfg.Loop, an *alias.Analysis) *Graph {
 	dg := &Graph{Fn: fn, Loop: loop}
 	collectInstrs(dg, fn, loop, map[*ir.Function]bool{})
 
@@ -141,22 +141,18 @@ func Build(prog *ir.Program, fn *ir.Function, g *cfg.Graph, loop *cfg.Loop, an *
 	dedupEdges(dg)
 
 	// Register dependences: live at header, defined inside the loop.
-	lv := cfg.ComputeLiveness(g)
-	dg.LiveIn = lv.LiveAtHeader(loop)
-	defined := map[ir.Reg]bool{}
+	defined := cfg.NewRegSet(fn.NumRegs)
 	for _, b := range loop.Blocks {
 		for i := range b.Instrs {
 			if d := b.Instrs[i].Def(); d != ir.NoReg {
-				defined[d] = true
+				defined.Add(d)
 			}
 		}
 	}
-	for r := range dg.LiveIn {
-		if defined[r] {
-			dg.CarriedRegs = append(dg.CarriedRegs, r)
-		}
+	for w, live := range lv.LiveAtHeader(loop) {
+		defined[w] &= live
 	}
-	sort.Slice(dg.CarriedRegs, func(i, j int) bool { return dg.CarriedRegs[i] < dg.CarriedRegs[j] })
+	dg.CarriedRegs = defined.Regs()
 	return dg
 }
 

@@ -54,7 +54,7 @@ func TestRecurrenceHasMemEdge(t *testing.T) {
 		b.Store(ir.R(base), 0, ir.R(nv), ir.MemAttrs{Type: ty})
 	})
 	an := alias.New(p, alias.TierLib)
-	dg := Build(p, f, g, loop, an)
+	dg := Build(p, f, g, cfg.ComputeLiveness(g), loop, an)
 	if len(dg.MemEdges) == 0 {
 		t.Fatal("recurrence must report a memory dependence")
 	}
@@ -78,7 +78,7 @@ func TestDoallDropsSelfEdge(t *testing.T) {
 		b.Store(ir.R(addr), 0, ir.R(i), ir.MemAttrs{Type: ty})
 	})
 	for _, tier := range alias.Tiers {
-		dg := Build(p, f, g, loop, alias.New(p, tier))
+		dg := Build(p, f, g, cfg.ComputeLiveness(g), loop, alias.New(p, tier))
 		if len(dg.MemEdges) != 0 {
 			t.Fatalf("tier %v: affine analysis should prove a[i] loop-disjoint, got %v", tier, dg.MemEdges)
 		}
@@ -96,7 +96,7 @@ func TestDataDependentIndexKeepsEdge(t *testing.T) {
 		addr := b.Add(ir.R(base), ir.R(masked))
 		b.Store(ir.R(addr), 0, ir.R(i), ir.MemAttrs{Type: ty})
 	})
-	dg := Build(p, f, g, loop, alias.New(p, alias.TierLib))
+	dg := Build(p, f, g, cfg.ComputeLiveness(g), loop, alias.New(p, alias.TierLib))
 	if len(dg.MemEdges) == 0 {
 		t.Fatal("data-dependent scatter must keep its dependence edges")
 	}
@@ -153,7 +153,7 @@ func TestAccuracyLadderImproves(t *testing.T) {
 	prev := -1.0
 	for _, tier := range alias.Tiers {
 		an := alias.New(p, tier)
-		dg := Build(p, f, g, loop, an)
+		dg := Build(p, f, g, cfg.ComputeLiveness(g), loop, an)
 		if bad := Unsound(dg, lp); len(bad) > 0 {
 			t.Fatalf("tier %v unsound: misses %v", tier, bad)
 		}
@@ -163,8 +163,8 @@ func TestAccuracyLadderImproves(t *testing.T) {
 		}
 		prev = acc
 	}
-	base := Build(p, f, g, loop, alias.New(p, alias.TierBase))
-	path := Build(p, f, g, loop, alias.New(p, alias.TierPath))
+	base := Build(p, f, g, cfg.ComputeLiveness(g), loop, alias.New(p, alias.TierBase))
+	path := Build(p, f, g, cfg.ComputeLiveness(g), loop, alias.New(p, alias.TierPath))
 	if len(path.MemEdges) >= len(base.MemEdges) {
 		t.Errorf("path tier should prune edges: base=%d path=%d",
 			len(base.MemEdges), len(path.MemEdges))
@@ -182,8 +182,8 @@ func TestExternCallEdges(t *testing.T) {
 		b.CallExtern(pure, ir.R(i))
 		b.CallExtern(clob)
 	})
-	low := Build(p, f, g, loop, alias.New(p, alias.TierType))
-	lib := Build(p, f, g, loop, alias.New(p, alias.TierLib))
+	low := Build(p, f, g, cfg.ComputeLiveness(g), loop, alias.New(p, alias.TierType))
+	lib := Build(p, f, g, cfg.ComputeLiveness(g), loop, alias.New(p, alias.TierLib))
 	if len(lib.MemEdges) >= len(low.MemEdges) {
 		t.Errorf("lib tier should prune call edges: low=%d lib=%d",
 			len(low.MemEdges), len(lib.MemEdges))
@@ -233,7 +233,7 @@ func TestInstrCollectionFollowsCalls(t *testing.T) {
 
 	g := cfg.New(f)
 	forest := cfg.FindLoops(g)
-	dg := Build(p, f, g, forest.Loops[0], alias.New(p, alias.TierLib))
+	dg := Build(p, f, g, cfg.ComputeLiveness(g), forest.Loops[0], alias.New(p, alias.TierLib))
 	memCount := 0
 	for _, li := range dg.Instrs {
 		if li.In.Op.IsMem() {

@@ -198,7 +198,7 @@ func checkAlias(build Builder, opt Options, fail func(string, string, ...any) *F
 				if lp == nil {
 					continue
 				}
-				dg := ddg.Build(p, fn, graphs[fn], loop, an)
+				dg := ddg.Build(p, fn, graphs[fn], cfg.ComputeLiveness(graphs[fn]), loop, an)
 				if missed := ddg.Unsound(dg, lp); len(missed) > 0 {
 					return fail("alias", "tier %v missed %d observed dependences in %s loop@%s (first: %v)",
 						tier, len(missed), fn.Name, loop.Header.Name, missed[0])

@@ -473,18 +473,23 @@ func Figure2(ctx context.Context) (*FigureResult, error) {
 			return nil, err
 		}
 		vals := make([]float64, len(alias.Tiers))
-		graphs := map[string]*cfg.Graph{}
+		type fnFlow struct {
+			g  *cfg.Graph
+			lv *cfg.Liveness
+		}
+		flows := map[string]fnFlow{}
 		for ti, tier := range alias.Tiers {
 			an := alias.New(w.Prog, tier)
 			var acc float64
 			var n int
 			for _, pl := range comp.Loops {
-				g, ok := graphs[pl.Fn.Name]
+				fl, ok := flows[pl.Fn.Name]
 				if !ok {
-					g = cfg.New(pl.Fn)
-					graphs[pl.Fn.Name] = g
+					fl.g = cfg.New(pl.Fn)
+					fl.lv = cfg.ComputeLiveness(fl.g)
+					flows[pl.Fn.Name] = fl
 				}
-				dg := ddg.Build(w.Prog, pl.Fn, g, pl.Loop, an)
+				dg := ddg.Build(w.Prog, pl.Fn, fl.g, fl.lv, pl.Loop, an)
 				if len(dg.MemEdges) == 0 {
 					continue
 				}
@@ -567,7 +572,7 @@ func Figure3(ctx context.Context) (*Figure3Result, error) {
 		an := alias.New(w.Prog, alias.TierLib)
 		for _, pl := range comp.Loops {
 			g := cfg.New(pl.Fn)
-			dg := ddg.Build(w.Prog, pl.Fn, g, pl.Loop, an)
+			dg := ddg.Build(w.Prog, pl.Fn, g, cfg.ComputeLiveness(g), pl.Loop, an)
 			classes := inductionClassify(pl, g, dg)
 			p.CarriedRegs += len(dg.CarriedRegs)
 			seen := map[int32]bool{}

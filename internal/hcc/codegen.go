@@ -14,7 +14,7 @@ import (
 // produces the ParallelLoop plan. The body's single parameter is the
 // iteration index; it returns 0 (ran), 1 (not run) or 2+k (exited via
 // edge k).
-func generate(prog *ir.Program, fn *ir.Function, g *cfg.Graph, loop *cfg.Loop,
+func generate(prog *ir.Program, fn *ir.Function, g *cfg.Graph, lv *cfg.Liveness, loop *cfg.Loop,
 	level Level, seg *segmentation, classes map[ir.Reg]induction.Info, id int) (*ParallelLoop, error) {
 
 	if len(loop.Latches) != 1 {
@@ -156,7 +156,7 @@ func generate(prog *ir.Program, fn *ir.Function, g *cfg.Graph, loop *cfg.Loop,
 	}
 
 	// Reductions and last-value bookkeeping.
-	liveOut := liveOutRegs(fn, g, loop)
+	liveOut := liveOutRegs(fn, lv, loop)
 	origLastDefs := map[int32]ir.Reg{}
 	for r, info := range classes {
 		switch info.Class {
@@ -167,13 +167,13 @@ func generate(prog *ir.Program, fn *ir.Function, g *cfg.Graph, loop *cfg.Loop,
 				origLastDefs[uid] = r
 			}
 		case induction.ClassPrivate:
-			if liveOut[r] {
+			if liveOut.Has(r) {
 				for _, uid := range info.DefUIDs {
 					origLastDefs[uid] = r
 				}
 			}
 		}
-		if liveOut[r] {
+		if liveOut.Has(r) {
 			pl.LiveOutRegs = append(pl.LiveOutRegs, r)
 		}
 	}
@@ -327,13 +327,10 @@ func isCounted(g *cfg.Graph, loop *cfg.Loop, classes map[ir.Reg]induction.Info) 
 }
 
 // liveOutRegs returns the registers live at any loop exit target.
-func liveOutRegs(fn *ir.Function, g *cfg.Graph, loop *cfg.Loop) map[ir.Reg]bool {
-	lv := cfg.ComputeLiveness(g)
-	out := map[ir.Reg]bool{}
+func liveOutRegs(fn *ir.Function, lv *cfg.Liveness, loop *cfg.Loop) cfg.RegSet {
+	out := cfg.NewRegSet(fn.NumRegs)
 	for _, e := range loop.Exits {
-		for r := range lv.LiveIn[e.To.Index] {
-			out[r] = true
-		}
+		out.Union(lv.LiveIn[e.To.Index])
 	}
 	return out
 }

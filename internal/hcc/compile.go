@@ -25,10 +25,17 @@ func Compile(prog *ir.Program, entry *ir.Function, opts Options) (*Compiled, err
 
 	graphs := map[*ir.Function]*cfg.Graph{}
 	forests := map[*ir.Function]*cfg.Forest{}
+	// One liveness per function with loops, shared by the dependence
+	// analysis of every candidate and the code generation of every
+	// selected loop (neither changes the function's code).
+	lives := map[*ir.Function]*cfg.Liveness{}
 	for _, f := range prog.Funcs {
 		g := cfg.New(f)
 		graphs[f] = g
 		forests[f] = cfg.FindLoops(g)
+		if len(forests[f].Loops) > 0 {
+			lives[f] = cfg.ComputeLiveness(g)
+		}
 	}
 
 	profiler := &interp.Profiler{
@@ -83,7 +90,7 @@ func Compile(prog *ir.Program, entry *ir.Function, opts Options) (*Compiled, err
 			continue
 		}
 
-		dg := ddg.Build(prog, fn, g, loop, an)
+		dg := ddg.Build(prog, fn, g, lives[fn], loop, an)
 		classes := induction.Classify(fn, g, loop, dg.CarriedRegs)
 		if !opts.Level.FullPredictability() {
 			// HCCv1 only understands linear inductions: demote the rest.
@@ -173,7 +180,7 @@ func Compile(prog *ir.Program, entry *ir.Function, opts Options) (*Compiled, err
 	}
 
 	for i, c := range picked {
-		pl, err := generate(prog, c.fn, graphs[c.fn], c.loop, opts.Level, c.seg, c.classes, i)
+		pl, err := generate(prog, c.fn, graphs[c.fn], lives[c.fn], c.loop, opts.Level, c.seg, c.classes, i)
 		if err != nil {
 			out.Rejected = append(out.Rejected, RejectedLoop{Loop: c.loop, Fn: c.fn, Reason: err.Error(), Estimate: c.est})
 			continue

@@ -83,7 +83,7 @@ func buildClassLoop(t *testing.T) (map[string]ir.Reg, map[ir.Reg]Info) {
 		t.Fatalf("want 1 loop, got %d", len(forest.Loops))
 	}
 	loop := forest.Loops[0]
-	dg := ddg.Build(p, f, g, loop, alias.New(p, alias.TierLib))
+	dg := ddg.Build(p, f, g, cfg.ComputeLiveness(g), loop, alias.New(p, alias.TierLib))
 	infos := Classify(f, g, loop, dg.CarriedRegs)
 	regs := map[string]ir.Reg{
 		"i": i, "tri": tri, "sum": sum, "mx": mx, "last": last, "ptr": ptr, "tmp": tmp,
@@ -194,7 +194,7 @@ func TestRecurrenceNotLastValue(t *testing.T) {
 		p.AssignUIDs()
 		g := cfg.New(f)
 		loop := cfg.FindLoops(g).Loops[0]
-		dg := ddg.Build(p, f, g, loop, alias.New(p, alias.TierLib))
+		dg := ddg.Build(p, f, g, cfg.ComputeLiveness(g), loop, alias.New(p, alias.TierLib))
 		return h, Classify(f, g, loop, dg.CarriedRegs)
 	}
 

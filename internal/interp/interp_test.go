@@ -313,3 +313,87 @@ func TestProfilerBudget(t *testing.T) {
 		t.Errorf("want ErrBudget, got %v", err)
 	}
 }
+
+// TestProfilerWideRingAndUnbackedAddresses covers the profiler's paths
+// no workload takes: consumer cores numbered 64 and up (a 128-core
+// ring), and accesses outside the memory span — a word below the
+// globals, and one past the arena end that the growing arena later
+// covers (its history must carry over).
+//
+//	for (i = 0; i < n; i++) {
+//	    if (i == 0) g = 1; else v = g   // one write, read by n-1 cores
+//	    mem[7] = i; v = mem[7]          // below the globals
+//	    mem[arena0+100] = i             // past the arena end, until...
+//	    alloc(2)                        // ...iteration 50 reaches it
+//	}
+func TestProfilerWideRingAndUnbackedAddresses(t *testing.T) {
+	p := ir.NewProgram("wide")
+	g := p.AddGlobal("g", 1, ir.TypeAny)
+	high := p.ArenaBase() + 100
+	f := p.NewFunction("main", 1)
+	b := ir.NewBuilder(p, f)
+	i := b.Const(0)
+	head, pick, write, read, tail, exit := b.NewBlock("head"), b.NewBlock("pick"),
+		b.NewBlock("write"), b.NewBlock("read"), b.NewBlock("tail"), b.NewBlock("exit")
+	b.Br(head)
+	b.SetBlock(head)
+	b.CondBr(ir.R(b.Bin(ir.OpCmpLT, ir.R(i), ir.R(f.Params[0]))), pick, exit)
+	b.SetBlock(pick)
+	b.CondBr(ir.R(b.Bin(ir.OpCmpEQ, ir.R(i), ir.C(0))), write, read)
+	b.SetBlock(write)
+	b.Store(ir.C(g.Addr), 0, ir.C(1), ir.MemAttrs{})
+	b.Br(tail)
+	b.SetBlock(read)
+	b.Load(ir.C(g.Addr), 0, ir.MemAttrs{})
+	b.Br(tail)
+	b.SetBlock(tail)
+	b.Store(ir.C(7), 0, ir.R(i), ir.MemAttrs{})
+	b.Load(ir.C(7), 0, ir.MemAttrs{})
+	b.Store(ir.C(high), 0, ir.R(i), ir.MemAttrs{})
+	b.Alloc(2, ir.TypeAny)
+	b.BinTo(i, ir.OpAdd, ir.R(i), ir.C(1))
+	b.Br(head)
+	b.SetBlock(exit)
+	b.RetVoid()
+	if err := p.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	p.AssignUIDs()
+	forest := cfg.FindLoops(cfg.New(f))
+
+	const n = 101 // iterations 1..100 read g: cores 1..100 on a 128-core ring
+	for _, ring := range []int{128, 16} {
+		prof, err := (&Profiler{Prog: p, Forests: map[*ir.Function]*cfg.Forest{f: forest}, RingSize: ring}).Run(f, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lp := prof.Loops[forest.Loops[0]]
+		readers := int(min(ring, n-1))
+		// g's one live write has `readers` distinct consumers; the two
+		// recurrent words are rewritten every iteration and never read by
+		// a later one (n writes each, counted at zero consumers).
+		want := map[int]int64{readers: 1, 0: 2 * n}
+		if len(lp.ConsumerCounts) != len(want) {
+			t.Errorf("ring %d: consumer counts %v, want %v", ring, lp.ConsumerCounts, want)
+		}
+		for k, v := range want {
+			if lp.ConsumerCounts[k] != v {
+				t.Errorf("ring %d: consumer counts %v, want %v", ring, lp.ConsumerCounts, want)
+			}
+		}
+		for _, a := range []int64{g.Addr, 7, high} {
+			if _, ok := lp.SharedAddrs[a]; !ok || len(lp.SharedAddrs) != 3 {
+				t.Errorf("ring %d: shared addrs %v, want g, 7 and %d", ring, lp.SharedAddrs, high)
+			}
+		}
+		// store g→load g (n-1 reads), store 7→store 7, load 7→store 7 and
+		// store high→store high (one per later iteration each).
+		var total int64
+		for _, c := range lp.Deps {
+			total += c
+		}
+		if len(lp.Deps) != 4 || total != 4*(n-1) {
+			t.Errorf("ring %d: deps %v, want 4 pairs, %d occurrences", ring, lp.Deps, 4*(n-1))
+		}
+	}
+}

@@ -1,6 +1,8 @@
 package interp
 
 import (
+	"math/bits"
+	"slices"
 	"sort"
 
 	"helixrc/internal/cfg"
@@ -48,8 +50,10 @@ type LoopProfile struct {
 	// (index 0 means consumed by no other core before being overwritten).
 	ConsumerCounts map[int]int64
 
-	// internal per-address tracking state
-	addrState map[int64]*addrRecord
+	// Per-address tracking state and a dense ConsumerCounts histogram,
+	// folded into the exported fields when the run ends.
+	addrs        addrTable
+	consumerHist []int64
 	// iteration-in-progress state
 	curIterInstrs int64
 	curInvocIters int64
@@ -58,20 +62,113 @@ type LoopProfile struct {
 
 const maxSamples = 1 << 16
 
-type accessRecord struct {
-	lastIter int64
+// instrAccess is the last iteration in which one static instruction
+// touched an address: one node of the address's list in addrTable.accs.
+type instrAccess struct {
+	uid      int32
+	next     int32 // 1 + index of the address's next node; 0 ends the list
 	isWrite  bool
+	lastIter int64
 }
 
 type addrRecord struct {
-	// byInstr tracks the last iteration each static instruction touched
-	// this address, for the dependence oracle.
-	byInstr map[int32]accessRecord
-	// Current live write, for hop/consumer statistics.
-	writeIter     int64
+	addr int64
+	// Current live write, for hop/consumer statistics: its iteration and
+	// the distinct cores below 64 that read it (cores beyond are in
+	// addrTable.wide).
+	writeIter int64
+	consumers uint64
+	// accs heads the list of the static instructions that touched this
+	// address (1 + index into addrTable.accs; 0 = none), for the
+	// dependence oracle.
+	accs          int32
 	haveWrite     bool
 	firstConsumed bool
-	consumers     map[int]struct{}
+	// shared marks cross-iteration traffic (the address joins SharedAddrs).
+	shared bool
+}
+
+// addrTable finds an address's record. Addresses inside the profiled
+// memory's span — from the lowest global (lo) to the arena end, which
+// grows as the program allocates — index slot by word offset; an access
+// outside it (a word the program never allocated) goes through far, and
+// keeps its record if the arena later grows over it.
+type addrTable struct {
+	lo   int64
+	slot []int32 // addr-lo → 1 + index into recs; 0 = not seen yet
+	far  map[int64]int32
+	recs []addrRecord
+	accs []instrAccess
+	// wide holds, per record, the consumer cores numbered 64 and up
+	// (rings of more than 64 cores only).
+	wide map[int32][]int32
+}
+
+// get returns the index of addr's record, creating it on first touch;
+// arena is the memory's current arena end.
+func (t *addrTable) get(addr, arena int64) int32 {
+	off := addr - t.lo
+	if off < 0 || addr >= arena {
+		i, ok := t.far[addr]
+		if !ok {
+			if t.far == nil {
+				t.far = map[int64]int32{}
+			}
+			i = t.add(addr)
+			t.far[addr] = i
+		}
+		return i
+	}
+	if off >= int64(len(t.slot)) {
+		n := min(max(2*int64(len(t.slot)), off+1), arena-t.lo)
+		t.slot = append(t.slot, make([]int32, n-int64(len(t.slot)))...)
+	}
+	if t.slot[off] == 0 {
+		i, ok := t.far[addr] // touched before the arena reached it
+		if !ok {
+			i = t.add(addr)
+		}
+		t.slot[off] = i + 1
+	}
+	return t.slot[off] - 1
+}
+
+func (t *addrTable) add(addr int64) int32 {
+	t.recs = append(t.recs, addrRecord{addr: addr})
+	return int32(len(t.recs) - 1)
+}
+
+// addConsumer adds core to the readers of record i's live write.
+func (t *addrTable) addConsumer(i int32, core int) {
+	if core < 64 {
+		t.recs[i].consumers |= 1 << core
+		return
+	}
+	if t.wide == nil {
+		t.wide = map[int32][]int32{}
+	}
+	if !slices.Contains(t.wide[i], int32(core)) {
+		t.wide[i] = append(t.wide[i], int32(core))
+	}
+}
+
+// consumerCount returns how many distinct cores read record i's live
+// write.
+func (t *addrTable) consumerCount(i int32) int {
+	n := bits.OnesCount64(t.recs[i].consumers)
+	if t.wide != nil {
+		n += len(t.wide[i])
+	}
+	return n
+}
+
+// newWrite starts record i's next live write, in iteration iter.
+func (t *addrTable) newWrite(i int32, iter int64) {
+	st := &t.recs[i]
+	st.haveWrite, st.writeIter, st.firstConsumed, st.consumers = true, iter, false, 0
+	if t.wide != nil {
+		delete(t.wide, i)
+	}
 }
 
 // Coverage returns this loop's fraction of the program's dynamic
@@ -185,8 +282,30 @@ func (pr *Profiler) Run(fn *ir.Function, args ...int64) (*Profile, error) {
 		Conflicts:  map[*cfg.Loop]map[*cfg.Loop]bool{},
 		BlockCount: map[*ir.Block]int64{},
 	}
-	if _, blk, _ := c.Frame(); blk != nil {
-		prof.BlockCount[blk]++
+	// Per-function state, looked up once per change of function: the
+	// loop forest and dense block-entry counts by Block.Index (which the
+	// builder, the parser and cfg.New keep equal to the block's
+	// position), folded into BlockCount when the run ends.
+	type fnState struct {
+		forest *cfg.Forest
+		counts []int64
+	}
+	fnStates := map[*ir.Function]*fnState{}
+	var lastFn *ir.Function
+	var cur *fnState
+	stateOf := func(f *ir.Function) *fnState {
+		if f != lastFn {
+			cur = fnStates[f]
+			if cur == nil {
+				cur = &fnState{forest: pr.Forests[f], counts: make([]int64, len(f.Blocks))}
+				fnStates[f] = cur
+			}
+			lastFn = f
+		}
+		return cur
+	}
+	if f, blk, _ := c.Frame(); blk != nil {
+		stateOf(f).counts[blk.Index]++
 	}
 	addConflict := func(a, b *cfg.Loop) {
 		if prof.Conflicts[a] == nil {
@@ -211,7 +330,8 @@ func (pr *Profiler) Run(fn *ir.Function, args ...int64) (*Profile, error) {
 				SharedAddrs:    map[int64]struct{}{},
 				HopDist:        make([]int64, pr.RingSize/2+1),
 				ConsumerCounts: map[int]int64{},
-				addrState:      map[int64]*addrRecord{},
+				addrs:          addrTable{lo: mem.base},
+				consumerHist:   make([]int64, pr.RingSize+1),
 			}
 			prof.Loops[l] = lp
 		}
@@ -234,8 +354,25 @@ func (pr *Profiler) Run(fn *ir.Function, args ...int64) (*Profile, error) {
 		stack = stack[:len(stack)-1]
 	}
 
+	// finish folds the dense run state into the exported profile fields.
+	// liveWrites also counts the consumers of each address's last write,
+	// which only a completed run does.
+	finish := func(liveWrites bool) {
+		for f, st := range fnStates {
+			for i, n := range st.counts {
+				if n > 0 {
+					prof.BlockCount[f.Blocks[i]] = n
+				}
+			}
+		}
+		for _, lp := range prof.Loops {
+			lp.fold(liveWrites)
+		}
+	}
+
 	for !c.Done() {
 		if c.Steps >= budget {
+			finish(false)
 			return prof, ErrBudget
 		}
 		curFn, curBlk, _ := c.Frame()
@@ -244,8 +381,8 @@ func (pr *Profiler) Run(fn *ir.Function, args ...int64) (*Profile, error) {
 		info := c.Step()
 		prof.TotalInstrs++
 		if info.Branched {
-			if _, nb, _ := c.Frame(); nb != nil {
-				prof.BlockCount[nb]++
+			if f, nb, _ := c.Frame(); nb != nil {
+				stateOf(f).counts[nb.Index]++
 			}
 		}
 		for i := range stack {
@@ -257,7 +394,7 @@ func (pr *Profiler) Run(fn *ir.Function, args ...int64) (*Profile, error) {
 		if in.Op.IsMem() {
 			isWrite := in.Op == ir.OpStore
 			for i := range stack {
-				pr.recordAccess(stack[i].lp, stack[i].iter, in.UID, info.Addr, isWrite)
+				pr.recordAccess(stack[i].lp, stack[i].iter, in.UID, info.Addr, isWrite, mem.arena)
 			}
 		}
 
@@ -280,8 +417,7 @@ func (pr *Profiler) Run(fn *ir.Function, args ...int64) (*Profile, error) {
 				!stack[len(stack)-1].lp.Loop.Contains(nb) {
 				popLoop()
 			}
-			forest := pr.Forests[curFn]
-			if forest != nil {
+			if forest := stateOf(curFn).forest; forest != nil {
 				if l := headerOf(forest, nb); l != nil {
 					top := -1
 					if len(stack) > 0 {
@@ -313,16 +449,29 @@ func (pr *Profiler) Run(fn *ir.Function, args ...int64) (*Profile, error) {
 	for len(stack) > 0 {
 		popLoop()
 	}
-	// Finalize consumer counts for live writes.
-	for _, lp := range prof.Loops {
-		for _, st := range lp.addrState {
-			if st.haveWrite {
-				lp.ConsumerCounts[len(st.consumers)]++
-			}
-		}
-		lp.addrState = nil
-	}
+	finish(true)
 	return prof, nil
+}
+
+// fold moves the per-address run state into SharedAddrs and
+// ConsumerCounts and drops it; liveWrites also counts each address's
+// still-live write.
+func (lp *LoopProfile) fold(liveWrites bool) {
+	for i := range lp.addrs.recs {
+		st := &lp.addrs.recs[i]
+		if st.shared {
+			lp.SharedAddrs[st.addr] = struct{}{}
+		}
+		if liveWrites && st.haveWrite {
+			lp.consumerHist[lp.addrs.consumerCount(int32(i))]++
+		}
+	}
+	for k, n := range lp.consumerHist {
+		if n > 0 {
+			lp.ConsumerCounts[k] = n
+		}
+	}
+	lp.addrs, lp.consumerHist = addrTable{}, nil
 }
 
 func headerOf(f *cfg.Forest, b *ir.Block) *cfg.Loop {
@@ -348,39 +497,40 @@ func isLatch(l *cfg.Loop, b *ir.Block) bool {
 	return false
 }
 
-func (pr *Profiler) recordAccess(lp *LoopProfile, iter int64, uid int32, addr int64, isWrite bool) {
-	st := lp.addrState[addr]
-	if st == nil {
-		st = &addrRecord{byInstr: map[int32]accessRecord{}}
-		lp.addrState[addr] = st
-	}
+func (pr *Profiler) recordAccess(lp *LoopProfile, iter int64, uid int32, addr int64, isWrite bool, arena int64) {
+	t := &lp.addrs
+	ri := t.get(addr, arena)
+	st := &t.recs[ri]
 	// Dependence oracle: any earlier-iteration access by another static
-	// instruction (or the same one) where at least one side writes.
-	for otherUID, rec := range st.byInstr {
+	// instruction (or the same one, e.g. a recurrent store) where at
+	// least one side writes.
+	var self *instrAccess
+	for k := st.accs; k != 0; k = t.accs[k-1].next {
+		rec := &t.accs[k-1]
 		if rec.lastIter < iter && (rec.isWrite || isWrite) {
-			lp.Deps[canonPair(otherUID, uid)]++
-			lp.SharedAddrs[addr] = struct{}{}
+			lp.Deps[canonPair(rec.uid, uid)]++
+			st.shared = true
+		}
+		if rec.uid == uid {
+			self = rec
 		}
 	}
-	// Same instruction across iterations (e.g. a recurrent store).
-	if rec, ok := st.byInstr[uid]; ok && rec.lastIter < iter && (rec.isWrite || isWrite) {
-		lp.SharedAddrs[addr] = struct{}{}
+	if self == nil {
+		t.accs = append(t.accs, instrAccess{uid: uid, next: st.accs})
+		st.accs = int32(len(t.accs))
+		self = &t.accs[len(t.accs)-1]
 	}
-	st.byInstr[uid] = accessRecord{lastIter: iter, isWrite: isWrite}
+	self.isWrite, self.lastIter = isWrite, iter
 
 	// Hop-distance / consumer statistics.
 	n := int64(pr.RingSize)
 	if isWrite {
 		if st.haveWrite {
-			lp.ConsumerCounts[len(st.consumers)]++
+			lp.consumerHist[t.consumerCount(ri)]++
 		}
-		st.haveWrite = true
-		st.writeIter = iter
-		st.firstConsumed = false
-		st.consumers = map[int]struct{}{}
+		t.newWrite(ri, iter)
 	} else if st.haveWrite && iter > st.writeIter {
-		core := int(iter % n)
-		st.consumers[core] = struct{}{}
+		t.addConsumer(ri, int(iter%n))
 		if !st.firstConsumed {
 			st.firstConsumed = true
 			d := (iter - st.writeIter) % n

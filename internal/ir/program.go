@@ -261,9 +261,8 @@ func (p *Program) verifyInstr(f *Function, b *Block, in *Instr, inFunc map[*Bloc
 		}
 		return nil
 	}
-	var regs []Reg
-	regs = in.Uses(regs)
-	regs = append(regs, in.Def())
+	var scratch [4]Reg
+	regs := append(in.Uses(scratch[:0]), in.Def())
 	for _, r := range regs {
 		if err := checkReg(r); err != nil {
 			return err

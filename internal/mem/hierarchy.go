@@ -122,6 +122,24 @@ func (h *Hierarchy) Reset() {
 	h.Stats = AccessStats{}
 }
 
+// ResetCores is Reset for an n-core machine: it keeps the L2, the DRAM
+// and up to n L1s (building any missing ones), so one pooled hierarchy
+// serves every core count of a sweep.
+func (h *Hierarchy) ResetCores(n int) {
+	for i := len(h.L1); i < n; i++ {
+		if i < cap(h.L1) {
+			h.L1 = h.L1[:i+1] // may hold an L1 parked by a larger machine
+		} else {
+			h.L1 = append(h.L1, nil)
+		}
+		if h.L1[i] == nil {
+			h.L1[i] = NewCache(h.Cfg.L1)
+		}
+	}
+	h.L1 = h.L1[:n]
+	h.Reset()
+}
+
 // FlushDirty returns the number of dirty L1 lines for a core and clears
 // them (used to model end-of-loop write-back fences).
 func (h *Hierarchy) FlushDirty(core int) int {

@@ -61,3 +61,26 @@ func TestHierarchyResetIndistinguishable(t *testing.T) {
 		}
 	}
 }
+
+// TestHierarchyResetCoresIndistinguishable extends the pooling contract
+// across core counts: a hierarchy dirtied on one machine size and
+// ResetCores'd to another — growing, shrinking, then growing back over
+// parked L1s — must behave exactly like a fresh one of the new size.
+func TestHierarchyResetCoresIndistinguishable(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.L2.SizeBytes = 64 << 10
+	pooled := NewHierarchy(4, cfg)
+	prev := 4
+	for i, cores := range []int{16, 2, 8, 16, 1} {
+		driveHier(pooled, prev, int64(i)*977) // arbitrary dirtying traffic
+		pooled.ResetCores(cores)
+		if len(pooled.L1) != cores {
+			t.Fatalf("ResetCores(%d) left %d L1s", cores, len(pooled.L1))
+		}
+		want := driveHier(NewHierarchy(cores, cfg), cores, int64(i))
+		if got := driveHier(pooled, cores, int64(i)); got != want {
+			t.Fatalf("%d → %d cores: reset hierarchy diverges from fresh:\nfresh:  %+v\npooled: %+v", prev, cores, want, got)
+		}
+		prev = cores
+	}
+}

@@ -104,39 +104,34 @@ func ringConfig(arch Config) ringcache.Config {
 	return rc
 }
 
-// hierKey identifies a pooled hierarchy shape.
-type hierKey struct {
-	cores int
-	cfg   memsys.Config
-}
-
-// hierPools maps hierKey -> *sync.Pool of *mem.Hierarchy. Hierarchies
-// dominate per-run allocation (the L2 alone is >100k lines); pooling
-// them across runs — including runs on other goroutines — is the
-// single biggest allocation win.
+// hierPools maps a memory config to a *sync.Pool of *mem.Hierarchy.
+// Hierarchies dominate per-run allocation (the L2 alone is >100k lines);
+// pooling them across runs — including runs on other goroutines — is
+// the single biggest allocation win. The pool is keyed by config alone
+// and a hierarchy taken from it is resized to the run's core count
+// (ResetCores), so a sweep over core counts shares one pool instead of
+// keeping pooled hierarchies alive per count.
 var hierPools sync.Map
 
 func hierFromPool(cores int, cfg memsys.Config) *memsys.Hierarchy {
-	key := hierKey{cores: cores, cfg: cfg}
-	if p, ok := hierPools.Load(key); ok {
+	if p, ok := hierPools.Load(cfg); ok {
 		if v := p.(*sync.Pool).Get(); v != nil {
 			h := v.(*memsys.Hierarchy)
-			h.Reset()
+			h.ResetCores(cores)
 			return h
 		}
 	}
 	return memsys.NewHierarchy(cores, cfg)
 }
 
-// hierToPool returns a hierarchy to its shape's pool.
-func hierToPool(h *memsys.Hierarchy, cores int, cfg memsys.Config) {
+// hierToPool returns a hierarchy to its config's pool.
+func hierToPool(h *memsys.Hierarchy, cfg memsys.Config) {
 	if h == nil {
 		return
 	}
-	key := hierKey{cores: cores, cfg: cfg}
-	p, ok := hierPools.Load(key)
+	p, ok := hierPools.Load(cfg)
 	if !ok {
-		p, _ = hierPools.LoadOrStore(key, &sync.Pool{})
+		p, _ = hierPools.LoadOrStore(cfg, &sync.Pool{})
 	}
 	p.(*sync.Pool).Put(h)
 }
@@ -183,7 +178,7 @@ func replayerFromPool(ctx context.Context, tr *Trace, arch Config) *replayer {
 // scratch epoch stays monotonic across reuse, so stale segment stamps
 // from a previous trace can never match.
 func (rep *replayer) release() {
-	hierToPool(rep.hier, rep.arch.Cores, rep.arch.Mem)
+	hierToPool(rep.hier, rep.arch.Mem)
 	rep.hier = nil
 	rep.ctx, rep.tr = nil, nil
 	replayerPool.Put(rep)

@@ -293,7 +293,7 @@ func (b *batchReplayer) freeze(i int, err error) {
 			promoted.hier = ln.hier
 			b.groupLeader[ln.memGroup] = promoted
 		} else {
-			hierToPool(ln.hier, b.cores, ln.arch.Mem)
+			hierToPool(ln.hier, ln.arch.Mem)
 		}
 		ln.hier = nil
 	}
@@ -370,7 +370,7 @@ func (b *batchReplayer) run() {
 	}
 	for _, ln := range b.live {
 		if ln.hier != nil {
-			hierToPool(ln.hier, b.cores, ln.arch.Mem)
+			hierToPool(ln.hier, ln.arch.Mem)
 			ln.hier = nil
 		}
 	}

@@ -17,8 +17,10 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"strconv"
 
 	"helixrc/internal/ir"
+	"helixrc/internal/mem"
 )
 
 // TraceFormatVersion is the Trace codec's format version; bump on any
@@ -388,18 +390,62 @@ func DecodeResult(data []byte) (*Result, error) {
 // ConfigFingerprintScheme versions Config.Fingerprint's derivation;
 // cache layers fold it into their scheme tags so a derivation change
 // invalidates persisted keys.
-const ConfigFingerprintScheme = "simcfg2"
+const ConfigFingerprintScheme = "simcfg3"
 
 // Fingerprint returns a stable content hash of the timing-relevant
-// configuration, for content-addressed cache keys. Every Config field
-// is a flat value (ints and bools all the way down), so the derivation
-// hashes the %+v rendering under a scheme tag: adding, removing or
-// renaming a field changes every fingerprint, which is exactly the safe
-// direction for cache keys. The execution-strategy switch SlowStep is
-// normalized out: it selects how a result is computed, not what it is
-// (the golden tests pin both paths bit-identical).
+// configuration, for content-addressed cache keys. The derivation hashes
+// an explicit encoding of every field (appendConfig) under a scheme tag;
+// TestConfigFingerprintCoversEveryField perturbs each leaf field by
+// reflection, so a field added to Config or to a nested config without
+// an encoder line fails the build's tests instead of silently sharing
+// keys. The execution-strategy switch SlowStep is left out: it selects
+// how a result is computed, not what it is (the golden tests pin both
+// paths bit-identical).
 func (c Config) Fingerprint() string {
-	c.SlowStep = false
-	sum := sha256.Sum256(fmt.Appendf(nil, "%s %+v", ConfigFingerprintScheme, c))
+	var buf [256]byte
+	sum := sha256.Sum256(appendConfig(append(buf[:0], ConfigFingerprintScheme...), c))
 	return hex.EncodeToString(sum[:])
+}
+
+// appendConfig appends c's fields in declaration order, each preceded
+// by a space; the one string field is quoted, so the encoding is
+// unambiguous.
+func appendConfig(b []byte, c Config) []byte {
+	i := func(v int) { b = strconv.AppendInt(append(b, ' '), int64(v), 10) }
+	t := func(v bool) { b = strconv.AppendBool(append(b, ' '), v) }
+	cache := func(cc mem.CacheConfig) { i(cc.SizeBytes); i(cc.Assoc); i(cc.LineBytes) }
+
+	i(c.Cores)
+	b = strconv.AppendQuote(append(b, ' '), c.Core.Name)
+	i(c.Core.Width)
+	t(c.Core.OoO)
+	i(c.Core.Window)
+	i(c.Core.BranchCost)
+
+	cache(c.Mem.L1)
+	cache(c.Mem.L2)
+	i(c.Mem.L1Latency)
+	i(c.Mem.L2Latency)
+	i(c.Mem.CacheToCache)
+	i(c.Mem.DRAM.Banks)
+	b = strconv.AppendUint(append(b, ' '), uint64(c.Mem.DRAM.RowBits), 10)
+	i(c.Mem.DRAM.HitLatency)
+	i(c.Mem.DRAM.MissLatency)
+
+	r := c.Ring
+	i(r.Nodes)
+	i(r.ArrayBytes)
+	i(r.Assoc)
+	i(r.LinkLatency)
+	i(r.DataBandwidth)
+	i(r.SignalBandwidth)
+	i(r.InjectLatency)
+	i(r.OwnerL1Latency)
+
+	t(c.DecoupleReg)
+	t(c.DecoupleMem)
+	t(c.DecoupleSync)
+	t(c.PerfectMem)
+	b = strconv.AppendInt(append(b, ' '), c.MaxSteps, 10)
+	return b
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"errors"
+	"reflect"
 	"testing"
 
 	"helixrc/internal/hcc"
@@ -176,5 +177,60 @@ func TestConfigFingerprint(t *testing.T) {
 	slow.SlowStep = true
 	if slow.Fingerprint() != base.Fingerprint() {
 		t.Error("SlowStep changed the fingerprint; the strategy switch must be normalized out")
+	}
+}
+
+// TestConfigFingerprintCoversEveryField perturbs every leaf field of
+// Config (nested configs included) by reflection: each perturbation must
+// change the fingerprint, and no two may collide, except SlowStep, which
+// must not change it. A field added without an encoder line fails here,
+// which keeps the "a new field changes every key" safety of a
+// reflective encoding without its cost.
+func TestConfigFingerprintCoversEveryField(t *testing.T) {
+	base := HelixRC(16)
+	base.MaxSteps = 1000
+	baseFP := base.Fingerprint()
+	seen := map[string]string{baseFP: "the unperturbed config"}
+	leaves := 0
+	var walk func(path string, v reflect.Value)
+	walk = func(path string, v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				walk(path+"."+v.Type().Field(i).Name, v.Field(i))
+			}
+			return
+		case reflect.Int, reflect.Int64:
+			v.SetInt(v.Int() + 1)
+			defer v.SetInt(v.Int() - 1)
+		case reflect.Uint:
+			v.SetUint(v.Uint() + 1)
+			defer v.SetUint(v.Uint() - 1)
+		case reflect.Bool:
+			v.SetBool(!v.Bool())
+			defer v.SetBool(!v.Bool())
+		case reflect.String:
+			old := v.String()
+			v.SetString(old + "'")
+			defer v.SetString(old)
+		default:
+			t.Fatalf("Config%s: no perturbation for kind %s; extend the encoder and this test", path, v.Kind())
+		}
+		leaves++
+		fp := base.Fingerprint()
+		if path == ".SlowStep" {
+			if fp != baseFP {
+				t.Error("SlowStep changed the fingerprint; the strategy switch must be left out")
+			}
+			return
+		}
+		if prev, ok := seen[fp]; ok {
+			t.Errorf("perturbing Config%s gives the fingerprint of %s", path, prev)
+		}
+		seen[fp] = "Config" + path
+	}
+	walk("", reflect.ValueOf(&base).Elem())
+	if leaves < 30 {
+		t.Errorf("walked %d leaf fields; Config has more", leaves)
 	}
 }

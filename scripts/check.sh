@@ -8,6 +8,8 @@ cd "$(dirname "$0")/.."
 
 go build ./...
 go vet ./...
+# Formatting gate: every Go file must be gofmt-clean.
+test -z "$(gofmt -l .)"
 # Hard wall-clock bound: a hung cancellation path fails the gate instead
 # of wedging it.
 go test -race -timeout 10m ./...
